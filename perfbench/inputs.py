@@ -75,15 +75,18 @@ class SpreadSizes:
     """Log-uniform sizes in ``[low, high]`` from a golden-ratio sequence.
 
     Consecutive draws step through the log-size range by the golden ratio
-    from a seeded starting point, so every prefix of the sequence covers the
-    range evenly: runs with different seeds (and runs that get through
-    different numbers of documents) see nearly the same size distribution.
+    from the fixed point ``start``, so every prefix of the sequence covers the
+    range evenly and every seed gets the same sequence of sizes: the seed
+    picks the trees, not how large they are.  With a seeded starting point,
+    the peak RSS of ``ingest`` spread by 14% of its median over five seeds
+    (it is the largest working set of consecutive documents) against 0% over
+    runs of one seed.
     """
 
-    def __init__(self, rng: random.Random, low: int, high: int):
+    def __init__(self, start: float, low: int, high: int):
         self._log_low = math.log(low)
         self._log_span = math.log(high) - self._log_low
-        self._u = rng.random()
+        self._u = start
 
     def draw(self) -> int:
         self._u = (self._u + 0.6180339887498949) % 1.0
@@ -113,7 +116,8 @@ def ingest_inputs(seed: int, count: int, min_size: int, max_size: int) -> List[I
     so the build cache meets shared subtrees.
     """
     rng = random.Random(seed)
-    sizes = {query: SpreadSizes(rng, min_size, max_size) for query in ("descendant", "nondet-6")}
+    sizes = {query: SpreadSizes(start, min_size, max_size)
+             for query, start in (("descendant", 0.0), ("nondet-6", 0.5))}
     latest = {}  # query -> index of its latest original document
     corpus: List[IngestDoc] = []
     for index in range(count):

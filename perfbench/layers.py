@@ -38,62 +38,62 @@ class LayerMetric:
 
 LAYER_METRICS: Tuple[LayerMetric, ...] = (
     LayerMetric("forest_algebra.term_build_ms_per_doc", "ms", "lower",
-                "MaintainedTerm.__init__", "ingest_doc_p50_ms on ingest"),
+                "MaintainedTerm.__init__", "main_op_p50_ms on ingest"),
     LayerMetric("forest_algebra.rebalance_ms_per_edit", "ms", "lower",
-                "MaintainedTerm.apply_edit", "edit_batch_p50_ms on edit_page"),
+                "MaintainedTerm.apply_edit", "main_op_p50_ms on edit_page"),
     LayerMetric("circuits.box_build_ms_per_doc", "ms", "lower",
                 "build_leaf_box + build_internal_box (incl. _internal_plan)",
-                "ingest_nodes_per_s on ingest"),
+                "ops_per_s on ingest"),
     LayerMetric("circuits.plan_misses", "count", "lower",
-                "calls of _internal_plan", "ingest_nodes_per_s on ingest"),
+                "calls of _internal_plan", "ops_per_s on ingest"),
     LayerMetric("circuits.build_cache_hit_rate", "ratio", "higher",
                 "Engine.stats() build_cache_hits / (hits + misses)",
-                "ingest_nodes_per_s on ingest"),
+                "ops_per_s on ingest"),
     LayerMetric("enumeration.index_build_ms_per_doc", "ms", "lower",
-                "build_box_index during add_tree", "ingest_doc_p50_ms on ingest"),
+                "build_box_index during add_tree", "main_op_p50_ms on ingest"),
     LayerMetric("enumeration.index_build_ms_per_edit", "ms", "lower",
-                "build_box_index during edits", "edit_batch_p50_ms on edit_page"),
+                "build_box_index during edits", "main_op_p50_ms on edit_page"),
     LayerMetric("incremental.trunk_boxes_per_edit", "count", "lower",
-                "BatchUpdateReport.boxes_rebuilt", "edit_batch_p50_ms on edit_page"),
+                "BatchUpdateReport.boxes_rebuilt", "main_op_p50_ms on edit_page"),
     LayerMetric("incremental.apply_report_self_ms", "ms", "lower",
                 "IncrementalCircuitMaintainer.apply_report self time per call",
-                "edit_batch_p50_ms on edit_page"),
+                "main_op_p50_ms on edit_page"),
     LayerMetric("incremental.changed_mask_ms_per_edit", "ms", "lower",
-                "box_changed_mask", "edit_batch_p50_ms and the printed edit_batch_p99_ms on edit_page"),
+                "box_changed_mask", "main_op_p50_ms and the printed edit_batch_p99_ms on edit_page"),
     LayerMetric("engine.cursor.notify_ms_per_batch", "ms", "lower",
                 "LocalDocument.apply_edits self time",
-                "edit_batch_p50_ms and the printed edit_batch_p99_ms on edit_page"),
+                "main_op_p50_ms and the printed edit_batch_p99_ms on edit_page"),
     LayerMetric("engine.cursor.resume_rate", "ratio", "higher",
                 "BatchUpdateReport resumed / (resumed + invalidated)",
-                "page_p50_ms on edit_page"),
+                "ops_per_s on edit_page"),
     LayerMetric("engine.cursor.fetch_ms_per_page", "ms", "lower",
-                "Cursor.fetch", "page_p50_ms on edit_page and remote_stream"),
+                "Cursor.fetch", "ops_per_s on edit_page, main_op_p50_ms on remote_stream"),
     LayerMetric("enumeration.answers_per_s", "answers/s", "higher",
                 "answers / time inside Cursor.fetch and the shard worker's stream iterator",
-                "stream_answers_per_s on remote_stream, page_p50_ms on edit_page"),
+                "ops_per_s on remote_stream and edit_page"),
     LayerMetric("engine.sharding.wait_ms_per_chunk", "ms", "lower",
                 "ShardPool.stream_next_chunk (server process)",
-                "first_answer_p50_ms on remote_stream"),
+                "the printed first_answer_p50_ms on remote_stream"),
     LayerMetric("engine.sharding.collect_ms_per_call", "ms", "lower",
-                "ShardPool.collect (server process)", "page_p50_ms on remote_stream"),
+                "ShardPool.collect (server process)", "main_op_p50_ms on remote_stream"),
     LayerMetric("engine.sharding.answers_per_chunk", "answers", "higher",
                 "answers streamed / stats()['streaming']['chunks']",
-                "stream_answers_per_s on remote_stream"),
+                "ops_per_s on remote_stream"),
     LayerMetric("engine.sharding.credit_window", "count", "higher",
-                "stats()['streaming']['credit']", "stream_answers_per_s on remote_stream"),
+                "stats()['streaming']['credit']", "ops_per_s on remote_stream"),
     LayerMetric("net.encode_us_per_answer", "us", "lower",
-                "encode_frame (server process)", "stream_answers_per_s on remote_stream"),
+                "encode_frame (server process)", "ops_per_s on remote_stream"),
     LayerMetric("net.decode_us_per_answer", "us", "lower",
-                "decode_frame_body (client process)", "stream_answers_per_s on remote_stream"),
+                "decode_frame_body (client process)", "ops_per_s on remote_stream"),
     LayerMetric("net.wire_bytes_per_answer", "B", "lower",
                 "bytes of answer-carrying frames from encode_frame",
-                "stream_answers_per_s on remote_stream"),
+                "ops_per_s on remote_stream"),
     LayerMetric("net.round_trips_per_stream", "count", "lower",
                 "RemoteEngine.net_stats() round_trips / streams",
-                "first_answer_p50_ms on remote_stream"),
+                "the printed first_answer_p50_ms on remote_stream"),
     LayerMetric("net.executor_wait_ms", "ms", "lower",
                 "EngineServer._run_engine: submit to start on the engine lane",
-                "page_p50_ms on remote_stream"),
+                "main_op_p50_ms on remote_stream"),
     LayerMetric("net.client_wait_ms_per_op", "ms", "lower",
                 "recv_frame self time in the client (socket wait)",
                 "ops_per_s on remote_stream"),
@@ -104,10 +104,10 @@ LAYER_METRICS: Tuple[LayerMetric, ...] = (
                 "Engine.compile during set-up", "setup_s on all workloads"),
     LayerMetric("runtime.gc_pause_ms", "ms", "lower",
                 "gc.callbacks pause per op, all processes",
-                "ingest_nodes_per_s and the printed ingest_doc_p90_ms on ingest"),
+                "ops_per_s and the printed ingest_doc_p90_ms on ingest"),
     LayerMetric("runtime.gc_gen2_collections", "count", "lower",
                 "gc.callbacks generation-2 collections, all processes",
-                "ingest_nodes_per_s and the printed ingest_doc_p90_ms on ingest"),
+                "ops_per_s and the printed ingest_doc_p90_ms on ingest"),
     LayerMetric("trace.overhead_pct", "%", "lower",
                 "traced against untraced rate of the same workload", "none (tracing cost)"),
     LayerMetric("trace.attributed_share", "ratio", "higher",

@@ -34,11 +34,12 @@ def test_smoke_runs_every_workload_traced_and_untraced():
     results = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
     bench = _benchmark()
     assert len(results) == 2 * len(bench["workloads"])
-    end_to_end = {metric["name"] for metric in bench["end_to_end"]}
+    end_to_end = [metric["name"] for metric in bench["end_to_end"]]
+    assert tuple(end_to_end) == run.END_TO_END
     per_layer = {metric["name"] for metric in bench["per_layer"]}
     for untraced, traced in zip(results[0::2], results[1::2]):
         assert untraced["correct"] and traced["correct"]
-        assert {"setup_s", "peak_rss_mb"} <= set(untraced["metrics"]) <= end_to_end
+        assert list(untraced["metrics"]) == end_to_end
         assert all(m["value"] > 0 for m in untraced["metrics"].values())
         assert set(traced["metrics"]) == per_layer
 
