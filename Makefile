@@ -13,7 +13,7 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-engine-strict lint net-smoke bench-smoke bench
+.PHONY: check test test-engine-strict lint net-smoke bench-smoke perfbench-smoke bench
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
@@ -41,10 +41,18 @@ net-smoke:
 bench-smoke:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py --quick --compare --smoke-out benchmarks/results/smoke
 
+# The repository benchmark's own tests (perfbench/, about 15 s): every
+# workload at tiny sizes, untraced and traced, with its correctness checks.
+# The traced run wraps facade internals by name (ShardPool.stream_next_chunk,
+# ShardPool.collect, EngineServer._run_engine, Engine.add_tree, ...), so a
+# refactor that renames one fails here instead of in the next benchmark run.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q $(PYTEST_TIMEOUT_FLAGS)
+
 # Full benchmark harness: rewrites benchmarks/results/BENCH_*.json so the
 # committed trajectories can be compared across PRs.
 bench:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py
 
-check: test test-engine-strict net-smoke bench-smoke
-	@echo "check OK: tier-1 tests + strict engine tests + net smoke + perf smoke passed"
+check: test test-engine-strict net-smoke bench-smoke perfbench-smoke
+	@echo "check OK: tier-1 tests + strict engine tests + net smoke + perf smoke + perfbench smoke passed"

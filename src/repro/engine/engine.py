@@ -65,10 +65,11 @@ import tempfile
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.automata.serialize import query_digest
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import CompiledQuery
 from repro.engine.document import Document, ResultPage, STREAM_PAGE_SIZE
-from repro.engine.local import BatchUpdateReport, LocalStore
+from repro.engine.local import BatchUpdateReport, LocalStore, _batch_rows
 from repro.engine.query import Query, normalize_query_source
 from repro.engine.sharding import STREAM_CREDIT, ShardPool
 from repro.errors import EngineError, ServingError, ShardDiedError, StaleIteratorError
@@ -79,7 +80,288 @@ from repro.trees.unranked import UnrankedTree
 __all__ = ["Engine"]
 
 
-class Engine:
+class _ServingFacade:
+    """The front half of the serving API, shared by :class:`Engine` and
+    :class:`repro.net.RemoteEngine`.
+
+    Every rule that does not depend on where the documents live is written
+    here once: argument validation, the content-keyed query memo, the
+    document handles, page-argument normalization, the epoch mirror (every
+    edit flows through the front end, so the mirror is exact without a read
+    round trip) and the stale-on-edit guard of pushed streams.  A subclass
+    supplies the back half:
+
+    * ``_compile_new(kind, source, digest, pattern)`` — a new :class:`Query`;
+    * ``_ingest(rows)`` — ``(row index, Document)`` pairs in completion
+      order, registering each document through :meth:`_register`;
+    * ``_apply(doc_id, edits)`` — the edit batch's
+      :class:`~repro.engine.local.BatchUpdateReport`;
+    * ``_fetch_epoch(doc_id)`` and ``_fetch_page(doc_id, cursor_id, size)``
+      — the stored epoch and one page payload
+      (:meth:`~repro.engine.local.LocalDocument._page_payload`);
+    * ``_remove(doc_id)``, ``_stream(doc_id)``, ``_count(doc_id, limit)`` and
+      ``_runtime(doc_id)``.
+    """
+
+    def __init__(self):
+        self._queries: Dict[str, Query] = {}
+        self._documents: Dict[object, Document] = {}
+        #: doc_id → epoch mirror; pushed streams check staleness against it
+        self._epochs: Dict[object, int] = {}
+
+    def _check_open(self) -> None:
+        # getattr, not attribute access: a constructor that raised during
+        # parameter validation never assigned ``_closed``, and a monitoring
+        # call on such a husk must get a precise EngineError, not an
+        # AttributeError.
+        closed = getattr(self, "_closed", None)
+        if closed is None:
+            raise EngineError(
+                "this engine never finished construction (its constructor raised); "
+                "create a new Engine"
+            )
+        if closed:
+            raise EngineError("this engine is closed")
+
+    # ---------------------------------------------------------------- queries
+    def compile(self, source, alphabet=None) -> Query:
+        """Compile a query of any kind (memoized by content digest).
+
+        ``source`` may be an :class:`~repro.automata.unranked_tva.UnrankedTVA`
+        (tree query), a :class:`~repro.automata.wva.WVA` (word query), a
+        :class:`~repro.spanners.Spanner`, a spanner regex string (pass
+        ``alphabet=``), or an already-compiled :class:`Query` (returned
+        as-is).  Equal query *content* yields one shared compiled query.
+        """
+        self._check_open()
+        if isinstance(source, Query):
+            return source
+        kind, query_source, pattern = normalize_query_source(source, alphabet)
+        digest = query_digest(query_source)
+        query = self._queries.get(digest)
+        if query is None:
+            query = self._compile_new(kind, query_source, digest, pattern)
+            self._queries[digest] = query
+        return query
+
+    # -------------------------------------------------------------- documents
+    def add(self, content, query, doc_id=None, alphabet=None) -> Document:
+        """Add a document of either kind (dispatch on ``content``'s type).
+
+        :class:`~repro.trees.unranked.UnrankedTree` → tree document; any
+        string / sequence of letters → word document.
+        """
+        if isinstance(content, UnrankedTree):
+            return self.add_tree(content, query, doc_id=doc_id, alphabet=alphabet)
+        return self.add_word(content, query, doc_id=doc_id, alphabet=alphabet)
+
+    def add_tree(self, tree: UnrankedTree, query, doc_id=None, alphabet=None) -> Document:
+        """Serve an unranked tree under a standing tree query (Theorem 8.1)."""
+        return self._add("tree", tree, query, doc_id, alphabet)
+
+    def add_word(self, word, query, doc_id=None, alphabet=None) -> Document:
+        """Serve a word under a standing word/spanner query (Theorem 8.5)."""
+        return self._add("word", list(word), query, doc_id, alphabet)
+
+    def _add(self, kind: str, content, query, doc_id, alphabet) -> Document:
+        # Single adds ride the batch path (a batch of one), so there is
+        # exactly one ingest protocol to keep correct.
+        doc_ids = None if doc_id is None else [doc_id]
+        return self.add_documents(
+            [content], query, doc_ids=doc_ids, alphabet=alphabet, _kind=kind
+        )[0]
+
+    def add_documents(
+        self,
+        contents,
+        query=None,
+        *,
+        queries=None,
+        doc_ids=None,
+        alphabet=None,
+        _kind=None,
+    ) -> List[Document]:
+        """Add many documents at once — the pipelined ingest path.
+
+        ``contents`` is a sequence of documents (each an
+        :class:`~repro.trees.unranked.UnrankedTree` or a word); ``query`` is
+        the standing query they share, or ``queries`` gives one per document.
+        ``doc_ids`` optionally fixes ids (``None`` entries auto-assign).
+        Returns the handles in the caller's order: the batch's
+        completion-order stream (:meth:`Engine.add_documents_iter`), waited
+        out and reordered.
+
+        On a sharded engine the documents are grouped per shard (load-aware
+        placement over the live shards, ``replicas`` shards per document) and
+        shipped as **one pickled batch per worker, all batches in flight
+        before any reply is collected** — so the per-document builds, the
+        dominant serving cost, overlap across the worker processes instead of
+        paying one synchronous round trip each.
+
+        If an item fails, the documents the batch had already added stay
+        registered and the item's original exception is re-raised.  If a
+        worker process dies mid-batch, the documents that landed on no other
+        replica are reported in a precise
+        :class:`~repro.errors.ShardDiedError`; documents with at least one
+        surviving replica stay registered (and are re-replicated in the
+        background when ``replicas >= 2``).
+        """
+        rows = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, _kind)
+        landed = dict(self._ingest(rows))
+        return [landed[index] for index in range(len(rows)) if index in landed]
+
+    def _prepare_ingest(self, contents, query, queries, doc_ids, alphabet, kind):
+        """Validate one ingest batch into ``(doc_id, kind, content, compiled)`` rows."""
+        self._check_open()
+        rows = []
+        for content, item_query, doc_id in _batch_rows(
+            contents, query, queries, doc_ids, self._documents
+        ):
+            compiled = self.compile(item_query, alphabet=alphabet)
+            # add_tree / add_word name the kind; the check below reports a mismatch
+            item_kind = kind or ("tree" if isinstance(content, UnrankedTree) else "word")
+            if compiled.kind != item_kind:
+                raise EngineError(
+                    f"cannot serve a {item_kind} document under a {compiled.kind} query "
+                    f"(digest {compiled.digest[:12]}...)"
+                )
+            rows.append((doc_id, item_kind, content, compiled))
+        return rows
+
+    def _register(self, doc_id, kind: str, compiled: Query) -> Document:
+        document = Document(self, doc_id, kind, compiled)
+        self._documents[doc_id] = document
+        self._epochs[doc_id] = 0
+        return document
+
+    def document(self, doc_id) -> Document:
+        """The handle of a served document."""
+        self._check_open()
+        try:
+            return self._documents[doc_id]
+        except KeyError:
+            raise ServingError(f"no document with id {doc_id!r}") from None
+
+    def remove(self, doc_id) -> None:
+        """Drop a document (its cursors are closed)."""
+        self.document(doc_id)  # raises on unknown ids
+        self._remove(doc_id)
+        del self._documents[doc_id]
+        self._epochs.pop(doc_id, None)
+
+    def doc_ids(self) -> List[object]:
+        return list(self._documents)
+
+    def __len__(self) -> int:
+        return len(self._documents)
+
+    def __contains__(self, doc_id) -> bool:
+        return doc_id in self._documents
+
+    # ---------------------------------------------------------------- traffic
+    def apply_edits(self, doc_id, edits) -> BatchUpdateReport:
+        """Apply one edit batch to a document (one epoch step), routed by id."""
+        self.document(doc_id)
+        try:
+            report = self._apply(doc_id, list(edits))
+        except BaseException:
+            # The batch may have partially applied (the epoch still advances
+            # on a partial batch): resync the mirror so live streams see it.
+            try:
+                self._epochs[doc_id] = self._fetch_epoch(doc_id)
+            except Exception:  # noqa: BLE001 — unknowable: streams go stale
+                self._epochs.pop(doc_id, None)
+            raise
+        self._epochs[doc_id] = report.epoch
+        return report
+
+    def _doc_epoch(self, doc_id) -> int:
+        self.document(doc_id)
+        epoch = self._epochs.get(doc_id)
+        if epoch is None:  # mirror lost after a failed batch: resync
+            epoch = self._epochs[doc_id] = self._fetch_epoch(doc_id)
+        return epoch
+
+    def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
+        self.document(doc_id)
+        if isinstance(cursor, ResultPage):
+            if cursor.document_id != doc_id:
+                raise EngineError(
+                    f"page cursor {cursor.cursor_id} belongs to document "
+                    f"{cursor.document_id!r}, not {doc_id!r}"
+                )
+            cursor_id: Optional[int] = cursor.cursor_id
+        else:
+            cursor_id = cursor
+        if cursor_id is not None and page_size is not None:
+            raise EngineError(
+                "page_size is fixed when a cursor is opened; "
+                "continue with page(cursor=...) only"
+            )
+        size = self.page_size if page_size is None else page_size
+        if size < 1:
+            raise EngineError("page_size must be >= 1")
+        payload = self._fetch_page(doc_id, cursor_id, size)
+        return ResultPage(
+            answers=tuple(payload["answers"]),
+            offset=payload["offset"],
+            exhausted=payload["exhausted"],
+            cursor_id=payload["cursor_id"],
+            document_id=doc_id,
+            epoch=payload["epoch"],
+        )
+
+    def _guarded(self, doc_id, chunks):
+        """The answers of a pushed stream, stale-checked at every answer.
+
+        ``chunks`` is the stream's generator of answer tuples (it opens the
+        stream when first advanced).  Staleness is checked against the epoch mirror before
+        every yielded answer — an edit landing after the final answer ends
+        the stream with StopIteration, like the runtime's own iterator — so
+        the stream raises :class:`~repro.errors.StaleIteratorError` at
+        exactly the answer boundary where an in-process stream would.  The
+        base epoch is captured *eagerly* (this is not a generator), matching
+        the runtime iterator: an edit or removal landing between creating
+        the stream and its first answer invalidates it too.
+        """
+        start_epoch = self._doc_epoch(doc_id)  # resyncs a lost mirror
+        epochs = self._epochs
+
+        def check_fresh():
+            if epochs.get(doc_id) != start_epoch:
+                raise StaleIteratorError(
+                    f"document {doc_id!r} was edited (or removed) while stream() "
+                    "was running; restart the stream, or use page() for "
+                    "edit-stable pagination"
+                )
+
+        def iterate():
+            try:
+                check_fresh()
+                for answers in chunks:
+                    for answer in answers:
+                        check_fresh()
+                        yield answer
+            finally:
+                chunks.close()
+
+        return iterate()
+
+    # ---------------------------------------------------------------- context
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def __del__(self):  # pragma: no cover — best-effort cleanup
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+class Engine(_ServingFacade):
     """The unified enumeration engine (Theorems 8.1 + 8.5, one API).
 
     Parameters
@@ -92,8 +374,8 @@ class Engine:
         directory; when none is given it creates a private temporary one
         (removed on :meth:`close`).
     backend:
-        Default relation backend (``"pairs"`` / ``"matrix"`` / ``"bitset"``)
-        for every document; ``None`` = the library default.
+        Default relation backend (``"pairs"`` / ``"matrix"`` / ``"bitset"`` /
+        ``"numpy"``) for every document; ``None`` = the library default.
     workers:
         ``0`` (default) serves in-process; ``N >= 1`` partitions documents
         across ``N`` worker processes (load-aware placement, routed by
@@ -219,17 +501,13 @@ class Engine:
         self._delay_budget = delay_budget
         # Everything close() touches exists before any step that can raise,
         # so a failed construction cleans up (and __del__ stays safe).
+        super().__init__()
         self._closed = False
         self._pool: Optional[ShardPool] = None
         self._store: Optional[LocalStore] = None
         self._owned_catalog_dir: Optional[str] = None
-        self._documents: Dict[object, Document] = {}
         #: live replica shards of each document, in placement order
         self._replicas_of: Dict[object, List[int]] = {}
-        #: parent-side epoch mirror: every edit flows through this engine, so
-        #: the mirror is exact without a per-read round trip; sharded streams
-        #: use it for the stale-on-edit check at the answer boundary
-        self._epochs: Dict[object, int] = {}
         #: (doc_id, cursor_id) → shards holding that cursor.  Cursor state is
         #: deterministic and page fetches are mirrored, so every holder's
         #: copy of a cursor stays in lockstep; a replica rebuilt *after* the
@@ -265,7 +543,6 @@ class Engine:
         #: through this engine, so these parent-side sums are exact.
         self.cursors_resumed_total = 0
         self.cursors_invalidated_total = 0
-        self._queries: Dict[str, Query] = {}
         #: per shard, the query digests whose source was already shipped
         self._queries_sent: Dict[int, set] = {}
         self._doc_ids = itertools.count()
@@ -338,48 +615,18 @@ class Engine:
             if replicas
         }
 
-    def _check_open(self) -> None:
-        # getattr, not attribute access: a constructor that raised during
-        # parameter validation never assigned ``_closed``, and a monitoring
-        # call on such a husk must get a precise EngineError, not an
-        # AttributeError.
-        closed = getattr(self, "_closed", None)
-        if closed is None:
-            raise EngineError(
-                "this engine never finished construction (its constructor raised); "
-                "create a new Engine"
-            )
-        if closed:
-            raise EngineError("this engine is closed")
-
     # ---------------------------------------------------------------- queries
-    def compile(self, source, alphabet=None) -> Query:
-        """Compile (and, with a catalog, persist) a query of any kind.
+    def _compile_new(self, kind: str, query_source, digest: str, pattern) -> Query:
+        """Compile a query not seen before; with a catalog, persist it.
 
-        ``source`` may be an :class:`~repro.automata.unranked_tva.UnrankedTVA`
-        (tree query), a :class:`~repro.automata.wva.WVA` (word query), a
-        :class:`~repro.spanners.Spanner`, a spanner regex string (pass
-        ``alphabet=``), or an already-compiled :class:`Query` (returned
-        as-is).  Equal query *content* yields one shared compiled automaton —
-        in-process through the content-keyed cache, cross-process through the
-        catalog digest.
+        One content-addressed path for all kinds: in-process through the
+        content-keyed cache, cross-process through the catalog digest, so
+        every other process (shard workers included) loads instead of
+        compiling.
         """
-        self._check_open()
-        if isinstance(source, Query):
-            return source
-        kind, query_source, pattern = normalize_query_source(source, alphabet)
-        from repro.automata.serialize import query_digest
-
-        digest = query_digest(query_source)
-        known = self._queries.get(digest)
-        if known is not None:
-            return known
         if self.catalog is not None:
             entry = self.catalog.get(query_source)
             if digest not in self.catalog:
-                # One content-addressed path for all kinds: compile once,
-                # persist, and every other process (shard workers included)
-                # loads instead of compiling.
                 self.catalog.save(query_source, automaton=entry.automaton)
         else:
             from repro.core.enumerator import compiled_automaton_for
@@ -388,107 +635,13 @@ class Engine:
                 kind=kind, digest=digest, automaton=compiled_automaton_for(query_source)
             )
             entry.attach(query_source)
-        query = Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=entry)
-        self._queries[digest] = query
         if self._lease is not None:
             # Record the digest as live, so a concurrent `catalog.gc()`
             # (no keep-list) in any process never collects it from under us.
             self._lease.add(digest)
-        return query
+        return Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=entry)
 
     # -------------------------------------------------------------- documents
-    def add(self, content, query, doc_id=None, alphabet=None) -> Document:
-        """Add a document of either kind (dispatch on ``content``'s type).
-
-        :class:`~repro.trees.unranked.UnrankedTree` → tree document; any
-        string / sequence of letters → word document.
-        """
-        if isinstance(content, UnrankedTree):
-            return self.add_tree(content, query, doc_id=doc_id, alphabet=alphabet)
-        return self.add_word(content, query, doc_id=doc_id, alphabet=alphabet)
-
-    def add_tree(self, tree: UnrankedTree, query, doc_id=None, alphabet=None) -> Document:
-        """Serve an unranked tree under a standing tree query (Theorem 8.1)."""
-        return self._add("tree", tree, query, doc_id, alphabet)
-
-    def add_word(self, word, query, doc_id=None, alphabet=None) -> Document:
-        """Serve a word under a standing word/spanner query (Theorem 8.5)."""
-        return self._add("word", list(word), query, doc_id, alphabet)
-
-    def _add(self, kind: str, content, query, doc_id, alphabet) -> Document:
-        # Single adds ride the batch path (a batch of one), so there is
-        # exactly one ingest protocol to keep correct.
-        doc_ids = None if doc_id is None else [doc_id]
-        return self.add_documents(
-            [content], query, doc_ids=doc_ids, alphabet=alphabet, _kind=kind
-        )[0]
-
-    def add_documents(
-        self,
-        contents,
-        query=None,
-        *,
-        queries=None,
-        doc_ids=None,
-        alphabet=None,
-        _kind=None,
-    ) -> List[Document]:
-        """Add many documents at once — the pipelined ingest path.
-
-        ``contents`` is a sequence of documents (each an
-        :class:`~repro.trees.unranked.UnrankedTree` or a word); ``query`` is
-        the standing query they share, or ``queries`` gives one per document.
-        ``doc_ids`` optionally fixes ids (``None`` entries auto-assign).
-
-        On a sharded engine the documents are grouped per shard (load-aware
-        placement over the live shards, ``replicas`` shards per document) and
-        shipped as **one pickled batch per worker, all batches in flight
-        before any reply is collected** — so the per-document builds, the
-        dominant serving cost, overlap across the worker processes instead of
-        paying one synchronous round trip each.  A single-process engine adds
-        the documents in order through the same entry point, so the facade is
-        uniform.
-
-        If an item fails inside a live worker, the documents the batch had
-        already added stay registered and the item's original exception is
-        re-raised.  If a worker process dies mid-batch, the documents that
-        landed on no other replica are reported in a precise
-        :class:`~repro.errors.ShardDiedError`; documents with at least one
-        surviving replica stay registered (and are re-replicated in the
-        background when ``replicas >= 2``).
-        """
-        self._check_open()
-        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, _kind)
-        span = self._tracer.begin("add_documents", docs=len(items))
-        start = perf_counter()
-        try:
-            if self._pool is None:
-                # The same batch entry point a shard worker's store exposes, so
-                # local and sharded engines share one ingest facade end to end.
-                self._store.add_documents(
-                    [content for _doc_id, _kind, content, _compiled in items],
-                    queries=[compiled.source for _doc_id, _kind, _content, compiled in items],
-                    doc_ids=[doc_id for doc_id, _kind, _content, _compiled in items],
-                )
-                return [
-                    self._register(doc_id, kind, compiled)
-                    for doc_id, kind, _content, compiled in items
-                ]
-            registered: Dict[object, Document] = {}
-            for document in self._ingest_sharded_iter(
-                items, trace_ctx=None if span is None else span.context
-            ):
-                registered[document.doc_id] = document
-            # handles come back in the caller's order, not in completion order
-            return [
-                registered[doc_id]
-                for doc_id, _kind, _content, _compiled in items
-                if doc_id in registered
-            ]
-        finally:
-            self._tracer.finish(span)
-            self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
-
     def add_documents_iter(
         self,
         contents,
@@ -507,91 +660,45 @@ class Engine:
         still building.  Batch-level failures (a dead shard's lost
         documents, a failed item's original exception) are raised at the
         end, after every surviving document has been yielded — the same
-        error semantics as :meth:`add_documents`.  On a single-process
-        engine the documents are yielded in caller order after the batch
-        builds (there is no per-shard completion to expose).
+        error semantics as :meth:`add_documents`.  A single-process engine
+        yields each document as soon as it is built, in caller order.
+        Arguments are validated before the iterator is returned.
         """
-        self._check_open()
-        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, None)
+        rows = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, None)
+        return (document for _index, document in self._ingest(rows))
 
-        def iterate():
-            span = self._tracer.begin("add_documents", docs=len(items))
-            start = perf_counter()
-            try:
-                if self._pool is None:
-                    self._store.add_documents(
-                        [content for _doc_id, _kind, content, _compiled in items],
-                        queries=[
-                            compiled.source for _doc_id, _kind, _content, compiled in items
-                        ],
-                        doc_ids=[doc_id for doc_id, _kind, _content, _compiled in items],
-                    )
-                    for doc_id, kind, _content, compiled in items:
-                        yield self._register(doc_id, kind, compiled)
-                    return
-                for document in self._ingest_sharded_iter(
-                    items, trace_ctx=None if span is None else span.context
-                ):
-                    yield document
-            finally:
-                self._tracer.finish(span)
-                self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
+    def _ingest(self, rows):
+        """Build one validated batch; yields ``(row index, Document)`` pairs.
 
-        return iterate()
-
-    def _prepare_ingest(self, contents, query, queries, doc_ids, alphabet, _kind):
-        """Validate one ingest batch into ``(doc_id, kind, content, compiled)`` rows."""
-        contents = list(contents)
-        if queries is not None:
-            queries = list(queries)
-            if len(queries) != len(contents):
-                raise EngineError(
-                    f"queries ({len(queries)}) and contents ({len(contents)}) differ in length"
-                )
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(contents):
-                raise EngineError(
-                    f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
-                )
-        items = []  # (doc_id, kind, wire_content, compiled)
-        claimed = set()
-        for index, content in enumerate(contents):
-            item_query = queries[index] if queries is not None else query
-            if item_query is None:
-                raise EngineError(
-                    "add_documents needs a query: pass query= (shared) or queries= (per item)"
-                )
-            compiled = self.compile(item_query, alphabet=alphabet)
-            if isinstance(content, UnrankedTree):
-                kind = "tree"
-            else:
-                kind = "word"
-                content = list(content)
-            if _kind is not None and kind != _kind:
-                kind = _kind  # add_tree/add_word said so; the check below reports
-            if compiled.kind != kind:
-                raise EngineError(
-                    f"cannot serve a {kind} document under a {compiled.kind} query "
-                    f"(digest {compiled.digest[:12]}...)"
-                )
-            doc_id = doc_ids[index] if doc_ids is not None else None
+        Ids left ``None`` are assigned here, skipping every id in use or
+        named elsewhere in the batch.  A single-process engine builds the
+        documents in order; a sharded one yields them in shard-completion
+        order (:meth:`_ingest_sharded_iter`).
+        """
+        claimed = {row[0] for row in rows if row[0] is not None}
+        assigned = []
+        for doc_id, kind, content, compiled in rows:
             if doc_id is None:
                 doc_id = next(self._doc_ids)
                 while doc_id in self._documents or doc_id in claimed:
                     doc_id = next(self._doc_ids)
-            elif doc_id in self._documents or doc_id in claimed:
-                raise ServingError(f"document id {doc_id!r} already in use")
-            claimed.add(doc_id)
-            items.append((doc_id, kind, content, compiled))
-        return items
-
-    def _register(self, doc_id, kind: str, compiled: Query) -> Document:
-        document = Document(self, doc_id, kind, compiled)
-        self._documents[doc_id] = document
-        self._epochs[doc_id] = 0
-        self._next_cursor_ids[doc_id] = 0
-        return document
+                claimed.add(doc_id)
+            assigned.append((doc_id, kind, content, compiled))
+        span = self._tracer.begin("add_documents", docs=len(assigned))
+        start = perf_counter()
+        try:
+            if self._pool is None:
+                for index, (doc_id, kind, content, compiled) in enumerate(assigned):
+                    add = self._store.add_tree if kind == "tree" else self._store.add_word
+                    add(content, compiled.source, doc_id=doc_id)
+                    yield index, self._register(doc_id, kind, compiled)
+            else:
+                yield from self._ingest_sharded_iter(
+                    assigned, trace_ctx=None if span is None else span.context
+                )
+        finally:
+            self._tracer.finish(span)
+            self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
 
     def _release_placement(self, shard: int) -> None:
         """Return one placement slot of a shard (replica lost, removed or
@@ -623,7 +730,8 @@ class Engine:
         return chosen
 
     def _ingest_sharded_iter(self, items, trace_ctx=None):
-        """Sharded batch ingest, yielding handles in shard-completion order.
+        """Sharded batch ingest, yielding ``(row index, Document)`` pairs in
+        shard-completion order.
 
         All batches go out before any reply is read (builds overlap), and
         replies are processed in **arrival order**
@@ -678,7 +786,7 @@ class Engine:
 
         def finalize_ready():
             """Register + yield every document whose placements all reported."""
-            for doc_id, kind, content, compiled in items:
+            for index, (doc_id, kind, content, compiled) in enumerate(items):
                 if doc_id in finalized or remaining[doc_id]:
                     continue
                 finalized.add(doc_id)
@@ -694,7 +802,7 @@ class Engine:
                 if self.replicas > 1:
                     self._ingest_blobs[doc_id] = (kind, pickle.dumps(content), compiled.digest)
                     self._edit_logs[doc_id] = []
-                yield document
+                yield index, document
 
         yield from finalize_ready()  # placements lost entirely at submit time
         pending = dict(request_ids)
@@ -752,67 +860,31 @@ class Engine:
             _shard, _doc_id, error = item_failure
             raise error
 
-    def document(self, doc_id) -> Document:
-        """The handle of a served document."""
-        try:
-            return self._documents[doc_id]
-        except KeyError:
-            raise ServingError(f"no document with id {doc_id!r}") from None
+    def _remove(self, doc_id) -> None:
+        if self._pool is None:
+            self._store.remove(doc_id)
+            return
+        self._reap_repairs()
 
-    def remove(self, doc_id) -> None:
-        """Drop a document (its cursors are closed)."""
-        self.document(doc_id)  # raises on unknown ids
-        self._check_open()
-        if self._pool is not None:
-            self._reap_repairs()
-            targets = self._write_targets(doc_id)
-            submitted, dead_seen = [], []
-            death_error: Optional[BaseException] = None
-            removed = 0
-            for shard in targets:
-                try:
-                    submitted.append((shard, self._pool.submit(shard, "remove", doc_id)))
-                except ShardDiedError as exc:
-                    dead_seen.append(shard)
-                    death_error = exc
-            for shard, request_id in submitted:
-                try:
-                    self._pool.collect(shard, request_id)
-                    removed += 1
-                except ShardDiedError as exc:
-                    dead_seen.append(shard)
-                    death_error = exc
-            if removed == 0 and death_error is not None:
-                # No replica acknowledged: the document is *not* removed
-                # (with replicas=1 this is the PR-5 dead-shard behavior).
-                for shard in set(dead_seen):
-                    self._after_death(shard)
-                raise death_error
+        def forget(replies):
             # Forget the document before handling deaths so it is not
-            # re-migrated onto the respawned worker.
-            replicas = self._replicas_of.pop(doc_id, [])
-            for shard in replicas:
+            # re-migrated onto the respawned worker.  With no replica
+            # acknowledging, the document is *not* removed.
+            if not replies:
+                return
+            for shard in self._replicas_of.pop(doc_id, []):
                 self._release_placement(shard)
             self._ingest_blobs.pop(doc_id, None)
             self._edit_logs.pop(doc_id, None)
             self._next_cursor_ids.pop(doc_id, None)
             for key in [key for key in self._cursor_holders if key[0] == doc_id]:
                 del self._cursor_holders[key]
-            for shard in set(dead_seen):
-                self._after_death(shard)
-        else:
-            self._store.remove(doc_id)
-        del self._documents[doc_id]
-        self._epochs.pop(doc_id, None)
 
-    def doc_ids(self) -> List[object]:
-        return list(self._documents)
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._documents
+        replies, app_error, death_error = self._fan_out(
+            self._write_targets(doc_id), "remove", doc_id, settle=forget
+        )
+        if not replies:
+            raise app_error if app_error is not None else death_error
 
     # ----------------------------------------------------------- fault repair
     def _write_targets(self, doc_id) -> List[int]:
@@ -930,60 +1002,27 @@ class Engine:
         self._tracer.finish(span)
         self._metrics.observe("failover_seconds", perf_counter() - start)
 
-    def _reap_repairs(self) -> None:
-        """Collect finished background restores without blocking."""
-        if not self._repairs:
-            return
-        pool = self._pool
-        still: List[dict] = []
-        dead_seen: List[int] = []
-        for repair in self._repairs:
-            shard = repair["shard"]
-            if pool.generation(shard) != repair["generation"]:
-                continue  # that worker died; its death handling re-migrated
-            try:
-                if not pool.poll_reply(shard, repair["request_id"]):
-                    still.append(repair)
-                    continue
-                pool.collect(shard, repair["request_id"])
-                if "t0" in repair:
-                    self._metrics.observe("repair_seconds", perf_counter() - repair["t0"])
-            except ShardDiedError:
-                dead_seen.append(shard)
-            except EngineError:
-                # The restore itself failed on a live worker: treat it as a
-                # replica loss (availability shrinks; nothing is corrupted).
-                replicas = self._replicas_of.get(repair["doc_id"])
-                if replicas and shard in replicas:
-                    replicas.remove(shard)
-                    self._release_placement(shard)
-        self._repairs = still
-        for shard in set(dead_seen):
-            self._after_death(shard)
+    def _reap_repairs(self, block: bool = False) -> None:
+        """Collect finished background restores; with ``block``, all of them.
 
-    def await_repairs(self) -> None:
-        """Block until every background re-migration has been acknowledged.
-
-        Deterministic tests and benchmarks call this to pin down "the fleet
-        is back at full replication"; regular traffic never needs to — the
-        pipe's FIFO ordering already hides rebuild latency.
+        A restore whose worker died is dropped (its death handling
+        re-migrated); a restore that failed on a live worker counts as a
+        replica loss (availability shrinks; nothing is corrupted).
         """
-        self._check_open()
-        if self._pool is None:
-            return
+        pool = self._pool
         while self._repairs:
             repairs, self._repairs = self._repairs, []
             dead_seen: List[int] = []
             for repair in repairs:
                 shard = repair["shard"]
-                if self._pool.generation(shard) != repair["generation"]:
+                if pool.generation(shard) != repair["generation"]:
                     continue
                 try:
-                    self._pool.collect(shard, repair["request_id"])
-                    if "t0" in repair:
-                        self._metrics.observe(
-                            "repair_seconds", perf_counter() - repair["t0"]
-                        )
+                    if not block and not pool.poll_reply(shard, repair["request_id"]):
+                        self._repairs.append(repair)
+                        continue
+                    pool.collect(shard, repair["request_id"])
+                    self._metrics.observe("repair_seconds", perf_counter() - repair["t0"])
                 except ShardDiedError:
                     dead_seen.append(shard)
                 except EngineError:
@@ -993,6 +1032,57 @@ class Engine:
                         self._release_placement(shard)
             for shard in set(dead_seen):
                 self._after_death(shard)
+            if not block:
+                return
+
+    def await_repairs(self) -> None:
+        """Block until every background re-migration has been acknowledged.
+
+        Deterministic tests and benchmarks call this to pin down "the fleet
+        is back at full replication"; regular traffic never needs to — the
+        pipe's FIFO ordering already hides rebuild latency.
+        """
+        self._check_open()
+        if self._pool is not None:
+            self._reap_repairs(block=True)
+
+    def _fan_out(self, targets, op: str, *args, trace_ctx=None, settle=None):
+        """Send one request to every target replica, then collect every reply.
+
+        Returns ``(replies, app_error, death_error)``: the ``(shard,
+        payload)`` of each replica that answered, the first application
+        error a live replica raised (deterministic, so the same on every
+        replica) and the last shard death observed.  ``settle(replies)`` runs
+        before the dead shards are failed over (:meth:`_after_death`); a
+        death counts as a failover when another replica still answered.
+        """
+        pool = self._pool
+        submitted, dead_seen = [], []
+        death_error: Optional[BaseException] = None
+        for shard in targets:
+            try:
+                submitted.append((shard, pool.submit(shard, op, *args, trace_ctx=trace_ctx)))
+            except ShardDiedError as exc:
+                dead_seen.append(shard)
+                death_error = exc
+        replies: List[tuple] = []
+        app_error: Optional[BaseException] = None
+        for shard, request_id in submitted:
+            try:
+                replies.append((shard, pool.collect(shard, request_id)))
+            except ShardDiedError as exc:
+                dead_seen.append(shard)
+                death_error = exc
+            except BaseException as exc:  # noqa: BLE001 — deterministic app error
+                if app_error is None:
+                    app_error = exc
+        if settle is not None:
+            settle(replies)
+        for shard in set(dead_seen):
+            self._after_death(shard)
+        if dead_seen and (replies or app_error is not None):
+            self.failovers_total += 1  # the answer survived a replica death
+        return replies, app_error, death_error
 
     def _read_request(self, doc_id, op: str, *args):
         """Route one read to a live replica, failing over on shard death."""
@@ -1011,22 +1101,11 @@ class Engine:
         raise last_error
 
     # ---------------------------------------------------------------- traffic
-    def apply_edits(self, doc_id, edits) -> BatchUpdateReport:
-        """Apply one edit batch to a document (one epoch step), routed by id.
-
-        Replicated documents apply the batch on **every live replica in
-        lockstep** (same edits, same order, deterministic outcome), so
-        epochs, cursor decisions and enumeration state stay byte-identical
-        across replicas; the batch is also appended to the document's edit
-        log so a future restore replays it.
-        """
-        self.document(doc_id)
-        self._check_open()
+    def _apply(self, doc_id, edits) -> BatchUpdateReport:
         if self._pool is None:
             with self._tracer.span("apply_edits", doc_id=repr(doc_id)):
                 return self._store.document(doc_id).apply_edits(edits)
         self._reap_repairs()
-        edits = list(edits)
         span = self._tracer.begin("apply_edits", doc_id=repr(doc_id), edits=len(edits))
         try:
             return self._apply_edits_sharded(
@@ -1036,54 +1115,25 @@ class Engine:
             self._tracer.finish(span)
 
     def _apply_edits_sharded(self, doc_id, edits, trace_ctx) -> BatchUpdateReport:
-        targets = self._write_targets(doc_id)
+        """Apply an edit batch on **every live replica in lockstep**.
+
+        Same edits, same order, deterministic outcome: epochs, cursor
+        decisions and enumeration state stay byte-identical across replicas.
+        The batch is also appended to the document's edit log so a future
+        restore replays it.
+        """
         if self.replicas > 1:
             log = self._edit_logs.get(doc_id)
             if log is not None:
                 log.append(list(edits))
-        submitted, dead_seen = [], []
-        death_error: Optional[BaseException] = None
-        for shard in targets:
-            try:
-                submitted.append(
-                    (
-                        shard,
-                        self._pool.submit(
-                            shard, "edits", doc_id, edits, trace_ctx=trace_ctx
-                        ),
-                    )
-                )
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-        reports: List[BatchUpdateReport] = []
-        app_error: Optional[BaseException] = None
-        for shard, request_id in submitted:
-            try:
-                reports.append(self._pool.collect(shard, request_id))
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-            except BaseException as exc:  # noqa: BLE001 — deterministic app error
-                if app_error is None:
-                    app_error = exc
-        for shard in set(dead_seen):
-            self._after_death(shard)
-        if dead_seen and reports:
-            self.failovers_total += 1  # the edit survived a replica death
+        replies, app_error, death_error = self._fan_out(
+            self._write_targets(doc_id), "edits", doc_id, edits, trace_ctx=trace_ctx
+        )
         if app_error is not None:
-            # The batch may have partially applied (the epoch still advances
-            # on a partial batch): resync the mirror so live streams see it.
-            try:
-                self._epochs[doc_id] = self._read_request(doc_id, "epoch")
-            except EngineError:
-                self._epochs.pop(doc_id, None)
             raise app_error
-        if not reports:
-            self._epochs.pop(doc_id, None)  # state unknowable; streams go stale
-            if death_error is not None:
-                raise death_error
-            raise ShardDiedError(f"every replica of document {doc_id!r} is gone")
+        if not replies:
+            raise death_error
+        reports: List[BatchUpdateReport] = [report for _shard, report in replies]
         report = reports[0]
         if len(reports) > 1:
             if any(other.epoch != report.epoch for other in reports[1:]):
@@ -1106,18 +1156,12 @@ class Engine:
         # these monotonic counters instead of the shard-side ones.
         self.cursors_resumed_total += report.cursors_resumed
         self.cursors_invalidated_total += report.cursors_invalidated
-        self._epochs[doc_id] = report.epoch
         return report
 
-    def _doc_epoch(self, doc_id) -> int:
-        self.document(doc_id)
-        if self._pool is not None:
-            epoch = self._epochs.get(doc_id)
-            if epoch is None:  # mirror lost after a failed batch: resync
-                epoch = self._read_request(doc_id, "epoch")
-                self._epochs[doc_id] = epoch
-            return epoch
-        return self._store.document(doc_id).epoch
+    def _fetch_epoch(self, doc_id) -> int:
+        if self._pool is None:
+            return self._store.document(doc_id).epoch
+        return self._read_request(doc_id, "epoch")
 
     def _count(self, doc_id, limit: Optional[int]) -> int:
         self.document(doc_id)
@@ -1137,26 +1181,20 @@ class Engine:
 
     def _stream(self, doc_id):
         self.document(doc_id)
-        self._check_open()
         if self._pool is None:
             # Zero-overhead facade: the exact per-answer iterator of the
             # runtime (Theorem 6.5 delay), StaleIteratorError on edits.
             return self._store.document(doc_id).enumerator.assignments()
-        return self._stream_pushed(doc_id)
+        self._reap_repairs()
+        return self._guarded(doc_id, self._stream_pushed(doc_id))
 
     def _stream_pushed(self, doc_id):
-        """Sharded ``stream()``: chunks pushed by the worker under credit.
+        """Sharded ``stream()``: answer chunks pushed by the worker under credit.
 
         The worker iterates the runtime's own per-answer iterator and pushes
         result chunks ahead of consumption (bounded by the credit window), so
         a long stream costs one round trip per credit grant instead of one
-        per page.  Stale-on-edit semantics are enforced at the parent against
-        the epoch mirror — every edit flows through this engine — so the
-        stream raises :class:`~repro.errors.StaleIteratorError` at exactly
-        the answer boundary where a single-process stream would.  The base
-        epoch is captured *eagerly* (this is not a generator), matching the
-        runtime iterator: an edit or removal landing between creating the
-        stream and its first answer invalidates it too.
+        per page; :meth:`_guarded` checks staleness at every answer.
 
         Replicated documents stream from the least-loaded live replica; if
         that replica dies mid-stream, the stream transparently reopens on a
@@ -1164,108 +1202,60 @@ class Engine:
         is deterministic and identical across replicas, so no in-flight
         answer is lost, duplicated or reordered by the failover.
         """
-        self._reap_repairs()
-        start_epoch = self._doc_epoch(doc_id)  # resyncs a lost mirror
-
-        def check_fresh():
-            if self._epochs.get(doc_id) != start_epoch:
-                raise StaleIteratorError(
-                    f"document {doc_id!r} was edited (or removed) while stream() "
-                    "was running; restart the stream, or use page() for "
-                    "edit-stable pagination"
-                )
-
-        def iterate():
-            check_fresh()
-            yielded = 0
-            attempts = 2 * len(self._pool) + 2
-            # Explicit begin/finish (not a with-block): a generator suspends
-            # across yields, so the span covers the stream's whole lifetime
-            # and closes in the finally whenever the consumer stops.
-            span = self._tracer.begin("stream", doc_id=repr(doc_id))
-            ctx = None if span is None else span.context
-            try:
-                while True:
-                    shard = self._pick_read_replica(doc_id)
-                    stream = None
+        yielded = 0
+        attempts = 2 * len(self._pool) + 2
+        # Explicit begin/finish (not a with-block): a generator suspends
+        # across yields, so the span covers the stream's whole lifetime
+        # and closes in the finally whenever the consumer stops.
+        span = self._tracer.begin("stream", doc_id=repr(doc_id))
+        ctx = None if span is None else span.context
+        try:
+            while True:
+                shard = self._pick_read_replica(doc_id)
+                stream = None
+                try:
+                    stream = self._pool.stream_open(
+                        shard, doc_id, STREAM_PAGE_SIZE, trace_ctx=ctx
+                    )
+                    replay = yielded  # answers already served before this (re)open
+                    while True:
+                        chunk = self._pool.stream_next_chunk(stream)
+                        if chunk is None:
+                            return
+                        answers, exhausted = chunk
+                        if replay:
+                            skipped = min(replay, len(answers))
+                            answers, replay = answers[skipped:], replay - skipped
+                        # Every answer of a chunk is consumed before the next
+                        # chunk is asked for, so counting here is exact.
+                        yielded += len(answers)
+                        yield answers
+                        if exhausted:
+                            return
+                except ShardDiedError:
+                    attempts -= 1
+                    if self.replicas == 1 or attempts <= 0:
+                        raise
+                    retry = self._tracer.begin(
+                        "failover_retry", parent=ctx, dead_shard=shard
+                    )
                     try:
-                        stream = self._pool.stream_open(
-                            shard, doc_id, STREAM_PAGE_SIZE, trace_ctx=ctx
-                        )
-                        replay = yielded  # answers already served before this (re)open
-                        skipped = 0
-                        while True:
-                            chunk = self._pool.stream_next_chunk(stream)
-                            if chunk is None:
-                                return
-                            answers, exhausted = chunk
-                            # Staleness is checked only before *yielding an
-                            # answer* — an edit landing after the final answer
-                            # ends the stream with StopIteration, like the
-                            # runtime's own iterator.
-                            for answer in answers:
-                                if skipped < replay:
-                                    skipped += 1  # failover replay: already served
-                                    continue
-                                check_fresh()
-                                yield answer
-                                yielded += 1
-                            if exhausted:
-                                return
-                    except ShardDiedError:
-                        attempts -= 1
-                        if self.replicas == 1 or attempts <= 0:
-                            raise
-                        retry = self._tracer.begin(
-                            "failover_retry", parent=ctx, dead_shard=shard
-                        )
-                        try:
-                            self._after_death(shard)
-                        finally:
-                            self._tracer.finish(retry)
-                        self.failovers_total += 1
+                        self._after_death(shard)
                     finally:
-                        if stream is not None:
-                            self._pool.stream_close(stream)
-            finally:
-                self._tracer.finish(span)
+                        self._tracer.finish(retry)
+                    self.failovers_total += 1
+                finally:
+                    if stream is not None:
+                        self._pool.stream_close(stream)
+        finally:
+            self._tracer.finish(span)
 
-        return iterate()
+    def _fetch_page(self, doc_id, cursor_id: Optional[int], size: int):
+        if self._pool is None:
+            return self._store.document(doc_id)._page_payload(cursor_id, size)
+        return self._page_sharded(doc_id, cursor_id, size)
 
-    def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
-        self.document(doc_id)
-        self._check_open()
-        if isinstance(cursor, ResultPage):
-            if cursor.document_id != doc_id:
-                raise EngineError(
-                    f"page cursor {cursor.cursor_id} belongs to document "
-                    f"{cursor.document_id!r}, not {doc_id!r}"
-                )
-            cursor_id: Optional[int] = cursor.cursor_id
-        else:
-            cursor_id = cursor
-        if cursor_id is not None and page_size is not None:
-            raise EngineError(
-                "page_size is fixed when a cursor is opened; "
-                "continue with page(cursor=...) only"
-            )
-        size = self.page_size if page_size is None else page_size
-        if size < 1:
-            raise EngineError("page_size must be >= 1")
-        if self._pool is not None:
-            return self._page_sharded(doc_id, cursor_id, size)
-        document = self._store.document(doc_id)
-        cursor_obj, page = document.fetch_page(cursor_id, size)
-        return ResultPage(
-            answers=tuple(page.answers),
-            offset=page.offset,
-            exhausted=page.exhausted,
-            cursor_id=cursor_obj.cursor_id,
-            document_id=doc_id,
-            epoch=document.epoch,
-        )
-
-    def _page_sharded(self, doc_id, cursor_id: Optional[int], size: int) -> ResultPage:
+    def _page_sharded(self, doc_id, cursor_id: Optional[int], size: int):
         """One page request, mirrored to every replica that holds the cursor.
 
         Cursor opens and fetches are **writes** (they advance worker-side
@@ -1292,63 +1282,28 @@ class Engine:
                 # Unknown / released / orphaned cursor: one replica produces
                 # the precise worker-side error (or dead-shard error).
                 targets = [self._pick_read_replica(doc_id)]
-        submitted, dead_seen = [], []
-        death_error: Optional[BaseException] = None
-        for shard in targets:
-            try:
-                submitted.append(
-                    (shard, pool.submit(shard, "page", doc_id, cursor_id, size))
-                )
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-        payload = None
-        succeeded: List[int] = []
-        app_error: Optional[BaseException] = None
-        for shard, request_id in submitted:
-            try:
-                reply = pool.collect(shard, request_id)
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-                continue
-            except BaseException as exc:  # noqa: BLE001 — deterministic app error
-                if app_error is None:
-                    app_error = exc
-                continue
-            succeeded.append(shard)
-            if payload is None:
-                payload = reply
-        for shard in set(dead_seen):
-            self._after_death(shard)
-        if dead_seen and (succeeded or app_error is not None):
-            self.failovers_total += 1  # the answer survived a replica death
-        if payload is None:
+        replies, app_error, death_error = self._fan_out(
+            targets, "page", doc_id, cursor_id, size
+        )
+        if not replies:
             if app_error is not None:
                 # Deterministic across replicas (invalidation, released id,
                 # ...): the worker-side cursor is released everywhere.
                 if key is not None:
                     self._cursor_holders.pop(key, None)
                 raise app_error
-            if death_error is not None:
-                raise death_error
-            raise ShardDiedError(f"every replica of document {doc_id!r} is gone")
+            raise death_error
+        payload = replies[0][1]
+        holders = {shard for shard, _payload in replies}
         if cursor_id is None:
             self._next_cursor_ids[doc_id] = self._next_cursor_ids.get(doc_id, 0) + 1
             if not payload["exhausted"]:
-                self._cursor_holders[(doc_id, payload["cursor_id"])] = set(succeeded)
+                self._cursor_holders[(doc_id, payload["cursor_id"])] = holders
         elif payload["exhausted"]:
             self._cursor_holders.pop(key, None)
         else:
-            self._cursor_holders[key] = set(succeeded)
-        return ResultPage(
-            answers=tuple(payload["answers"]),
-            offset=payload["offset"],
-            exhausted=payload["exhausted"],
-            cursor_id=payload["cursor_id"],
-            document_id=doc_id,
-            epoch=payload["epoch"],
-        )
+            self._cursor_holders[key] = holders
+        return payload
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, object]:
@@ -1566,18 +1521,6 @@ class Engine:
         self._repairs.clear()
         if self._owned_catalog_dir is not None:
             shutil.rmtree(self._owned_catalog_dir, ignore_errors=True)
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover — best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover
         if self.workers:

@@ -56,6 +56,45 @@ from repro.trees.unranked import UnrankedTree
 __all__ = ["LocalStore", "LocalDocument", "BatchUpdateReport"]
 
 
+def _batch_rows(contents, query=None, queries=None, doc_ids=None, taken=()):
+    """Validate the arguments of one ``add_documents`` batch.
+
+    Returns one ``(content, query, doc_id)`` row per document — words as
+    letter lists, ``doc_id`` ``None`` where the id is left to assign.  Raises
+    :class:`~repro.errors.ServingError` when ``queries`` or ``doc_ids``
+    differ in length from ``contents``, when an item has no query, or when an
+    explicit id is in ``taken`` or repeated within the batch — so a bad batch
+    fails before any document is built.  Every ingest front end
+    (:meth:`LocalStore.add_documents`, :meth:`repro.Engine.add_documents`,
+    :meth:`repro.net.RemoteEngine.add_documents`) validates here.
+    """
+    contents = list(contents)
+    queries = None if queries is None else list(queries)
+    doc_ids = None if doc_ids is None else list(doc_ids)
+    for name, values in (("queries", queries), ("doc_ids", doc_ids)):
+        if values is not None and len(values) != len(contents):
+            raise ServingError(
+                f"{name} ({len(values)}) and contents ({len(contents)}) differ in length"
+            )
+    rows = []
+    claimed = set()
+    for index, content in enumerate(contents):
+        item_query = query if queries is None else queries[index]
+        if item_query is None:
+            raise ServingError(
+                "add_documents needs a query: pass query= (shared) or queries= (per item)"
+            )
+        doc_id = None if doc_ids is None else doc_ids[index]
+        if doc_id is not None:
+            if doc_id in taken or doc_id in claimed:
+                raise ServingError(f"document id {doc_id!r} already in use")
+            claimed.add(doc_id)
+        if not isinstance(content, UnrankedTree):
+            content = list(content)
+        rows.append((content, item_query, doc_id))
+    return rows
+
+
 @dataclass
 class BatchUpdateReport:
     """What one edit batch did to a served document."""
@@ -207,6 +246,18 @@ class LocalDocument:
         if page.exhausted:
             self._cursors_by_id.pop(cursor.cursor_id, None)
         return cursor, page
+
+    def _page_payload(self, cursor_id: Optional[int], page_size: int) -> Dict[str, object]:
+        """:meth:`fetch_page` as the plain dict every engine front end (and
+        the shard wire) turns into a :class:`~repro.engine.document.ResultPage`."""
+        cursor, page = self.fetch_page(cursor_id, page_size)
+        return {
+            "cursor_id": cursor.cursor_id,
+            "answers": tuple(page.answers),
+            "offset": page.offset,
+            "exhausted": page.exhausted,
+            "epoch": self.epoch,
+        }
 
     def _forget_cursor(self, cursor: Cursor) -> None:
         """Drop a no-longer-notifiable cursor from the live list."""
@@ -436,34 +487,16 @@ class LocalStore:
         The single-process face of :meth:`repro.Engine.add_documents`:
         ``contents`` holds trees and/or words, ``query`` (shared) or
         ``queries`` (one per item) names the standing queries, ``doc_ids``
-        optionally fixes ids.  Documents are added in order; the first
-        failure propagates (earlier documents stay registered).
+        optionally fixes ids.  The arguments are validated before any
+        build; documents are then added in order and the first failure
+        propagates (earlier documents stay registered).
         """
-        contents = list(contents)
-        if queries is not None:
-            queries = list(queries)
-            if len(queries) != len(contents):
-                raise ServingError(
-                    f"queries ({len(queries)}) and contents ({len(contents)}) differ in length"
-                )
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(contents):
-                raise ServingError(
-                    f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
-                )
         documents = []
-        for index, content in enumerate(contents):
-            item_query = queries[index] if queries is not None else query
-            if item_query is None:
-                raise ServingError(
-                    "add_documents needs a query: pass query= (shared) or queries= (per item)"
-                )
-            doc_id = doc_ids[index] if doc_ids is not None else None
-            if isinstance(content, UnrankedTree):
-                documents.append(self.add_tree(content, item_query, doc_id=doc_id))
-            else:
-                documents.append(self.add_word(list(content), item_query, doc_id=doc_id))
+        for content, item_query, doc_id in _batch_rows(
+            contents, query, queries, doc_ids, self._documents
+        ):
+            add = self.add_tree if isinstance(content, UnrankedTree) else self.add_word
+            documents.append(add(content, item_query, doc_id=doc_id))
         return documents
 
     def _register(self, enumerator, kind: str, digest: str, doc_id) -> LocalDocument:

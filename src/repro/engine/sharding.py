@@ -190,6 +190,83 @@ class AdaptiveCredit:
                 self.metrics.inc("stream_credit_shrunk_total")
             self._publish()
 
+    def next_chunk(self, stream: "_PushStream", receive, send_grant, stall_metric: str):
+        """The next ``(answers, exhausted)`` chunk of a push stream (blocking).
+
+        The one consumer of every credit-window stream — the shard pool's
+        and the network client's.  A transport supplies ``receive()``, which
+        files exactly one incoming message into its stream's buffer (or
+        raises), and ``send_grant(n)``, which returns ``n`` credit tokens to
+        the producer.  Returns ``None`` when the stream ended and raises the
+        stream's error (with its original type) when the producer reported
+        one.
+
+        A chunk already waiting votes on the window (buffered chunks plus
+        unreturned grants covering the whole outstanding window ⇒ the
+        producer is idle, waiting on this consumer); a wait on the transport
+        is a stall, timed into the ``stall_metric`` histogram.  Consumed
+        chunks are returned as credit in half-window grants that top the
+        stream up to the controller's *current* target, so a grown window
+        takes effect mid-stream and a shrunk one simply withholds credit (an
+        effective shrink costs zero round trips).
+        """
+        if stream.chunks:
+            self.note_buffered(len(stream.chunks) + stream.to_grant, stream.window)
+        stalled_at = None
+        while not stream.chunks:
+            if stream.error is not None:
+                error, stream.error = stream.error, None
+                stream.done = True
+                raise error
+            if stream.done or stream.closed:
+                return None
+            if stalled_at is None:
+                stalled_at = time.perf_counter()
+            receive()
+        if stalled_at is not None:
+            self.note_stall()
+            if self.metrics is not None:
+                self.metrics.observe(stall_metric, time.perf_counter() - stalled_at)
+        chunk = stream.chunks.pop(0)
+        stream.to_grant += 1
+        target = self.window
+        if (
+            not chunk[1]
+            and not stream.done
+            and stream.to_grant >= max(1, min(stream.window, target) // 2)
+        ):
+            # Token conservation: ``stream.window`` tokens are outstanding
+            # (producer credit + chunks in flight/buffered + to_grant).  Grant
+            # exactly what tops the stream up to the target window.
+            grant = max(0, target - (stream.window - stream.to_grant))
+            stream.window = stream.window - stream.to_grant + grant
+            stream.to_grant = 0
+            if grant > 0:
+                send_grant(grant)
+        return chunk
+
+
+class _PushStream:
+    """Consumer-side state of one credit-window push stream.
+
+    Chunks are buffered here by the transport until :meth:`AdaptiveCredit.
+    next_chunk` pops them.  ``window`` counts the stream's outstanding credit
+    tokens: producer-held credit plus chunks in flight or buffered plus
+    ``to_grant``; grants keep that invariant while steering toward the
+    adaptive target window.
+    """
+
+    __slots__ = ("request_id", "chunks", "error", "done", "closed", "to_grant", "window")
+
+    def __init__(self, request_id: int, window: int):
+        self.request_id = request_id
+        self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
+        self.error: Optional[BaseException] = None
+        self.done = False  #: the producer sent the exhausted chunk or an error
+        self.closed = False  #: the consumer abandoned the stream
+        self.to_grant = 0  #: consumed chunks not yet returned as credit
+        self.window = window
+
 
 # ============================================================== worker side
 class _WorkerStream:
@@ -280,15 +357,7 @@ def _handle_request(store, queries_by_digest, op, args):
         return store.document(doc_id).apply_edits(edits)
     if op == "page":
         doc_id, cursor_id, page_size = args
-        document = store.document(doc_id)
-        cursor, page = document.fetch_page(cursor_id, page_size)
-        return {
-            "cursor_id": cursor.cursor_id,
-            "answers": tuple(page.answers),
-            "offset": page.offset,
-            "exhausted": page.exhausted,
-            "epoch": document.epoch,
-        }
+        return store.document(doc_id)._page_payload(cursor_id, page_size)
     if op == "count":
         doc_id, limit = args
         return store.document(doc_id).count(limit=limit)
@@ -462,32 +531,14 @@ def _shard_worker_main(
 
 
 # ============================================================== parent side
-class ShardStream:
-    """Parent-side handle of one push stream (chunks buffered until read)."""
+class ShardStream(_PushStream):
+    """Parent-side handle of one push stream from a shard worker."""
 
-    __slots__ = (
-        "shard",
-        "request_id",
-        "chunks",
-        "error",
-        "done",
-        "closed",
-        "to_grant",
-        "window",
-    )
+    __slots__ = ("shard",)
 
-    def __init__(self, shard: int, request_id: int):
+    def __init__(self, shard: int, request_id: int, window: int):
+        super().__init__(request_id, window)
         self.shard = shard
-        self.request_id = request_id
-        self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
-        self.error: Optional[BaseException] = None
-        self.done = False  #: the worker sent the exhausted chunk or an error
-        self.closed = False  #: the parent abandoned the stream
-        self.to_grant = 0  #: consumed chunks not yet returned as credit
-        #: this stream's outstanding credit tokens: worker-held credit plus
-        #: chunks in the pipe or buffered plus ``to_grant``.  Grants keep the
-        #: invariant while steering toward the adaptive target window.
-        self.window = STREAM_CREDIT
 
 
 class _ShardState:
@@ -1026,8 +1077,7 @@ class ShardPool:
         if trace_ctx is not None:
             self._send(shard, (-1, "trace_push", trace_ctx), "opening a stream")
         request_id = next(self._request_ids)
-        stream = ShardStream(shard, request_id)
-        stream.window = credit
+        stream = ShardStream(shard, request_id, credit)
         state.streams[request_id] = stream
         self._send(shard, (request_id, "stream_open", doc_id, chunk_size, credit), "opening a stream")
         state.stream_round_trips += 1
@@ -1036,65 +1086,29 @@ class ShardPool:
     def stream_next_chunk(self, stream: ShardStream):
         """The next ``(answers, exhausted)`` chunk of a stream (blocking).
 
-        Returns ``None`` when the stream ended; raises the stream's error
-        (with its original type) when the worker reported one.  Consuming a
-        chunk replenishes the worker's credit window in half-window grants,
-        steered by the adaptive controller: a grant tops the stream's
-        outstanding tokens up to the *current* target window, so a grown
-        window takes effect mid-stream and a shrunk one simply withholds
-        credit (an effective shrink costs zero round trips).  The wait for
-        each chunk is bounded by the pool deadline.
+        Runs the shared credit-window consumer
+        (:meth:`AdaptiveCredit.next_chunk`) over this shard's pipe: ``None``
+        when the stream ended, the worker's error (original type) when it
+        reported one, and consumed chunks returned to the worker as credit.
+        The wait for each chunk is bounded by the pool deadline.
         """
-        state = self._shards[stream.shard]
+        shard = stream.shard
+        state = self._shards[shard]
         deadline_at = time.monotonic() + self.deadline if self.deadline is not None else None
-        stalled_at = None  #: set when the parent genuinely waited on the pipe
-        if stream.chunks:
-            # Buffered chunks plus not-yet-returned grants == the whole
-            # outstanding window ⇒ the producer has nothing left in flight
-            # and is purely waiting on this consumer.
-            self.credit.note_buffered(
-                len(stream.chunks) + stream.to_grant, stream.window
-            )
-        while not stream.chunks:
-            if stream.error is not None:
-                error, stream.error = stream.error, None
-                stream.done = True
-                raise error
-            if stream.done:
-                return None
+
+        def receive():
             if state.dead:
-                raise self._death(stream.shard, "streaming answers", None)
-            if stalled_at is None:
-                stalled_at = time.monotonic()
-            self._recv_one(stream.shard, "streaming answers", deadline_at, self.deadline)
-        if stalled_at is not None:
-            self.credit.note_stall()
-            if self.metrics is not None:
-                # Time the consumer spent blocked on the credit window / worker.
-                self.metrics.observe("stream_stall_seconds", time.monotonic() - stalled_at)
-        chunk = stream.chunks.pop(0)
-        stream.to_grant += 1
-        _answers, exhausted = chunk
-        target = self.credit.window
-        if (
-            not exhausted
-            and not stream.done
-            and stream.to_grant >= max(1, min(stream.window, target) // 2)
-        ):
-            # Token conservation: ``stream.window`` tokens are outstanding
-            # (worker credit + chunks in flight/buffered + to_grant).  Grant
-            # exactly what tops the stream up to the target window.
-            grant = max(0, target - (stream.window - stream.to_grant))
-            stream.window = stream.window - stream.to_grant + grant
-            stream.to_grant = 0
-            if grant > 0 and not state.dead:
+                raise self._death(shard, "streaming answers", None)
+            self._recv_one(shard, "streaming answers", deadline_at, self.deadline)
+
+        def send_grant(grant: int):
+            if not state.dead:
                 self._send(
-                    stream.shard,
-                    (stream.request_id, "stream_credit", grant),
-                    "granting stream credit",
+                    shard, (stream.request_id, "stream_credit", grant), "granting stream credit"
                 )
                 state.stream_round_trips += 1
-        return chunk
+
+        return self.credit.next_chunk(stream, receive, send_grant, "stream_stall_seconds")
 
     def stream_close(self, stream: ShardStream) -> None:
         """Abandon a stream.  Safe to call from generator finalizers.

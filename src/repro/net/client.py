@@ -20,15 +20,17 @@ are routed by id into per-request slots, and stream chunk frames land in
 per-stream buffers so a stream being consumed never blocks an interleaved
 ``page()`` on the same connection.
 
-Streaming reuses the engine's credit-window discipline end to end, with
-the client running its own :class:`~repro.engine.sharding.AdaptiveCredit`
-controller: a consumer that keeps draining the buffer dry (the server is
-the bottleneck) grows the window so more chunks travel per round trip,
-while a slow consumer whose buffer stays full shrinks it toward the
-minimum so the server never racks up unread frames.  Stale-on-edit
-semantics are enforced client-side against an epoch mirror (every edit on
-this connection flows through this client), so a stream goes stale at
-exactly the answer boundary where a local engine's would.
+Streaming reuses the engine's credit-window discipline end to end: the
+client runs the shard pool's stream consumer
+(:meth:`~repro.engine.sharding.AdaptiveCredit.next_chunk`) under its own
+adaptive controller, supplying only the socket's receive and grant.  A
+consumer that keeps draining the buffer dry (the server is the
+bottleneck) grows the window so more chunks travel per round trip, while
+a slow consumer whose buffer stays full shrinks it toward the minimum so
+the server never racks up unread frames.  Argument validation, paging
+rules, the epoch mirror and the stale-on-edit guard are the local engine's
+own front half (``repro.engine.engine._ServingFacade``), so a stream goes
+stale at exactly the answer boundary where a local engine's would.
 
 Queries are compiled *locally first* — ``compile`` normalizes the source,
 computes the canonical digest, and ships the canonical payload (never a
@@ -45,17 +47,12 @@ import socket
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.automata.serialize import query_digest, query_payload
-from repro.engine.document import Document, ResultPage, STREAM_PAGE_SIZE
-from repro.engine.query import Query, normalize_query_source
-from repro.engine.sharding import AdaptiveCredit, STREAM_CREDIT
-from repro.errors import (
-    EngineError,
-    ProtocolError,
-    ReproError,
-    ServingError,
-    StaleIteratorError,
-)
+from repro.automata.serialize import query_payload
+from repro.engine.document import STREAM_PAGE_SIZE
+from repro.engine.engine import _ServingFacade
+from repro.engine.query import Query
+from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit, _PushStream
+from repro.errors import EngineError, ProtocolError
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -63,27 +60,11 @@ from repro.net.framing import (
     send_frame,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.trees.unranked import UnrankedTree
 
 __all__ = ["RemoteEngine"]
 
 
-class _ClientStream:
-    """Client-side state of one push stream (mirror of the pool's)."""
-
-    __slots__ = ("request_id", "chunks", "done", "error", "closed", "to_grant", "window")
-
-    def __init__(self, request_id: int, window: int):
-        self.request_id = request_id
-        self.chunks: List[Tuple[tuple, bool]] = []
-        self.done = False
-        self.error: Optional[BaseException] = None
-        self.closed = False
-        self.to_grant = 0
-        self.window = window
-
-
-class RemoteEngine:
+class RemoteEngine(_ServingFacade):
     """Blocking client of one :class:`~repro.net.server.EngineServer`.
 
     Parameters
@@ -114,6 +95,7 @@ class RemoteEngine:
     ):
         if (address is None) == (unix_path is None):
             raise EngineError("pass exactly one of address=(host, port) or unix_path=")
+        super().__init__()
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
         self.workers = 0  # documents live in the server process, not in shards of ours
@@ -127,16 +109,12 @@ class RemoteEngine:
         self._closed = False
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Tuple[str, object]] = {}
-        self._streams: Dict[int, _ClientStream] = {}
+        self._streams: Dict[int, _PushStream] = {}
         self._deferred_closes: List[int] = []
         self._metrics = MetricsRegistry()
         self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=self._metrics)
-        self._queries: Dict[str, Query] = {}
-        self._documents: Dict[object, Document] = {}
-        self._epochs: Dict[object, int] = {}
         self.stream_chunks_total = 0
         self.stream_round_trips_total = 0
-        self.stream_stalls_total = 0
         try:
             self.server_info = self._hello()
         except BaseException:
@@ -168,10 +146,6 @@ class RemoteEngine:
         return reply[2]
 
     # -------------------------------------------------------------- transport
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineError("this engine is closed")
-
     def _send(self, frame_value) -> None:
         # Flush stream closes deferred from generator finalizers first, so
         # they can never interleave inside another frame's bytes.
@@ -247,21 +221,13 @@ class RemoteEngine:
             raise payload
         return payload
 
-    # ---------------------------------------------------------------- queries
-    def compile(self, source, alphabet=None) -> Query:
-        """Compile a query on the server; digests are verified to match.
+    # ------------------------------------------------------------ back half
+    def _compile_new(self, kind: str, query_source, digest: str, pattern) -> Query:
+        """Compile a query on the server; the digests must match.
 
-        The canonical payload travels (never a pickle); the client computes
+        The canonical payload travels (never a pickle); the client computed
         the digest locally and cross-checks the server's answer.
         """
-        self._check_open()
-        if isinstance(source, Query):
-            return source
-        kind, query_source, pattern = normalize_query_source(source, alphabet)
-        digest = query_digest(query_source)
-        known = self._queries.get(digest)
-        if known is not None:
-            return known
         reply = self._call("compile", query_payload(query_source))
         if not (isinstance(reply, dict) and reply.get("digest") == digest):
             raise ProtocolError(
@@ -269,147 +235,28 @@ class RemoteEngine:
                 f"answered {str(reply.get('digest') if isinstance(reply, dict) else reply)[:12]}... "
                 "(codec divergence between client and server)"
             )
-        query = Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=None)
-        self._queries[digest] = query
-        return query
+        return Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=None)
 
-    # -------------------------------------------------------------- documents
-    def add(self, content, query, doc_id=None, alphabet=None) -> Document:
-        if isinstance(content, UnrankedTree):
-            return self.add_tree(content, query, doc_id=doc_id, alphabet=alphabet)
-        return self.add_word(content, query, doc_id=doc_id, alphabet=alphabet)
-
-    def add_tree(self, tree: UnrankedTree, query, doc_id=None, alphabet=None) -> Document:
-        return self._add("tree", tree, query, doc_id, alphabet)
-
-    def add_word(self, word, query, doc_id=None, alphabet=None) -> Document:
-        return self._add("word", list(word), query, doc_id, alphabet)
-
-    def _add(self, kind: str, content, query, doc_id, alphabet) -> Document:
-        doc_ids = None if doc_id is None else [doc_id]
-        return self.add_documents(
-            [content], query, doc_ids=doc_ids, alphabet=alphabet, _kind=kind
-        )[0]
-
-    def add_documents(
-        self,
-        contents,
-        query=None,
-        *,
-        queries=None,
-        doc_ids=None,
-        alphabet=None,
-        _kind=None,
-    ) -> List[Document]:
-        """Add many documents in one round trip (the server batches them)."""
-        self._check_open()
-        contents = list(contents)
-        if queries is not None:
-            queries = list(queries)
-            if len(queries) != len(contents):
-                raise EngineError(
-                    f"queries ({len(queries)}) and contents ({len(contents)}) differ in length"
-                )
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(contents):
-                raise EngineError(
-                    f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
-                )
-        rows = []  # (requested_doc_id, kind, content, compiled)
-        claimed = set()
-        for index, content in enumerate(contents):
-            item_query = queries[index] if queries is not None else query
-            if item_query is None:
-                raise EngineError(
-                    "add_documents needs a query: pass query= (shared) or queries= (per item)"
-                )
-            compiled = self.compile(item_query, alphabet=alphabet)
-            if isinstance(content, UnrankedTree):
-                kind = "tree"
-            else:
-                kind = "word"
-                content = list(content)
-            if _kind is not None and kind != _kind:
-                kind = _kind
-            if compiled.kind != kind:
-                raise EngineError(
-                    f"cannot serve a {kind} document under a {compiled.kind} query "
-                    f"(digest {compiled.digest[:12]}...)"
-                )
-            requested = doc_ids[index] if doc_ids is not None else None
-            if requested is not None and (requested in self._documents or requested in claimed):
-                raise ServingError(f"document id {requested!r} already in use")
-            if requested is not None:
-                claimed.add(requested)
-            rows.append((requested, kind, content, compiled))
+    def _ingest(self, rows):
+        """One round trip for the whole batch; the server assigns missing ids."""
         reply = self._call(
             "add_documents",
-            [[requested, content, compiled.digest] for requested, _k, content, compiled in rows],
+            [[doc_id, content, compiled.digest] for doc_id, _kind, content, compiled in rows],
         )
         assigned = reply["doc_ids"] if isinstance(reply, dict) else None
         if not isinstance(assigned, (list, tuple)) or len(assigned) != len(rows):
             raise ProtocolError("malformed add_documents reply from server")
-        documents = []
-        for (_requested, kind, _content, compiled), doc_id in zip(rows, assigned):
-            document = Document(self, doc_id, kind, compiled)
-            self._documents[doc_id] = document
-            self._epochs[doc_id] = 0
-            documents.append(document)
-        return documents
+        for index, ((_doc_id, kind, _content, compiled), doc_id) in enumerate(zip(rows, assigned)):
+            yield index, self._register(doc_id, kind, compiled)
 
-    def document(self, doc_id) -> Document:
-        """The handle of a served document."""
-        try:
-            return self._documents[doc_id]
-        except KeyError:
-            raise ServingError(f"no document with id {doc_id!r}") from None
-
-    def remove(self, doc_id) -> None:
-        """Drop a document on the server (its cursors are closed)."""
-        self.document(doc_id)
-        self._check_open()
+    def _remove(self, doc_id) -> None:
         self._call("remove", doc_id)
-        del self._documents[doc_id]
-        self._epochs.pop(doc_id, None)
 
-    def doc_ids(self) -> List[object]:
-        return list(self._documents)
+    def _apply(self, doc_id, edits):
+        return self._call("apply_edits", doc_id, edits)
 
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._documents
-
-    # ------------------------------------------------------------------ edits
-    def apply_edits(self, doc_id, edits):
-        """Apply one edit batch (one epoch step) on the server."""
-        self.document(doc_id)
-        self._check_open()
-        try:
-            report = self._call("apply_edits", doc_id, list(edits))
-        except ProtocolError:
-            raise
-        except BaseException:
-            # The batch may have partially applied (the epoch still advances
-            # on a partial batch): resync the mirror so live streams see it.
-            try:
-                self._epochs[doc_id] = self._call("epoch", doc_id)
-            except ReproError:
-                self._epochs.pop(doc_id, None)
-            raise
-        self._epochs[doc_id] = report.epoch
-        return report
-
-    # ------------------------------------------------------------ reads/pages
-    def _doc_epoch(self, doc_id) -> int:
-        self.document(doc_id)
-        epoch = self._epochs.get(doc_id)
-        if epoch is None:  # mirror lost after a failed batch: resync
-            epoch = self._call("epoch", doc_id)
-            self._epochs[doc_id] = epoch
-        return epoch
+    def _fetch_epoch(self, doc_id) -> int:
+        return self._call("epoch", doc_id)
 
     def _count(self, doc_id, limit: Optional[int]) -> int:
         self.document(doc_id)
@@ -422,124 +269,53 @@ class RemoteEngine:
             "its runtime is not reachable over the network"
         )
 
-    def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
-        self.document(doc_id)
-        self._check_open()
-        if isinstance(cursor, ResultPage):
-            if cursor.document_id != doc_id:
-                raise EngineError(
-                    f"page cursor {cursor.cursor_id} belongs to document "
-                    f"{cursor.document_id!r}, not {doc_id!r}"
-                )
-            cursor_id: Optional[int] = cursor.cursor_id
-        else:
-            cursor_id = cursor
-        if cursor_id is not None and page_size is not None:
-            raise EngineError(
-                "page_size is fixed when a cursor is opened; "
-                "continue with page(cursor=...) only"
-            )
-        size = self.page_size if page_size is None else page_size
-        if size < 1:
-            raise EngineError("page_size must be >= 1")
+    def _fetch_page(self, doc_id, cursor_id: Optional[int], size: int):
         payload = self._call("page", doc_id, cursor_id, size)
         if not isinstance(payload, dict):
             raise ProtocolError("malformed page reply from server")
-        return ResultPage(
-            answers=tuple(payload["answers"]),
-            offset=payload["offset"],
-            exhausted=payload["exhausted"],
-            cursor_id=payload["cursor_id"],
-            document_id=doc_id,
-            epoch=payload["epoch"],
-        )
+        return payload
 
     # ---------------------------------------------------------------- streams
     def _stream(self, doc_id):
-        """Credit-window push stream over the socket (adaptive, demuxed).
-
-        The base epoch is captured eagerly, and staleness is checked against
-        the client's epoch mirror before every yielded answer — the exact
-        contract of a local engine's ``stream()``.
-        """
+        """Credit-window push stream over the socket (adaptive, demuxed)."""
         self.document(doc_id)
-        self._check_open()
-        start_epoch = self._doc_epoch(doc_id)
+        return self._guarded(doc_id, self._pushed_chunks(doc_id))
+
+    def _pushed_chunks(self, doc_id):
+        """The answer tuples of one push stream, via the shared credit consumer.
+
+        The stream opens when its first answer is asked for, like a sharded
+        engine's, so a ``stream()`` that is never iterated holds no
+        server-side stream slot.
+        """
         request_id = next(self._request_ids)
-        window = self.credit.initial_credit(len(self._streams))
-        stream = _ClientStream(request_id, window)
+        stream = _PushStream(request_id, self.credit.initial_credit(len(self._streams)))
         self._streams[request_id] = stream
-        self._send([request_id, "stream_open", doc_id, self.stream_chunk_size, window])
+
+        def send_grant(grant: int) -> None:
+            self._send([stream.request_id, "stream_credit", grant])
+            self._note_round_trip()
+
+        try:
+            self._send([request_id, "stream_open", doc_id, self.stream_chunk_size, stream.window])
+            self._note_round_trip()
+            while True:
+                chunk = self.credit.next_chunk(
+                    stream, self._recv_one, send_grant, "net_stream_stall_seconds"
+                )
+                if chunk is None:
+                    return
+                yield chunk[0]
+                if chunk[1]:
+                    return
+        finally:
+            self._close_stream(stream)
+
+    def _note_round_trip(self) -> None:
         self.stream_round_trips_total += 1
         self._metrics.inc("net_stream_round_trips_total")
 
-        def check_fresh():
-            if self._epochs.get(doc_id) != start_epoch:
-                raise StaleIteratorError(
-                    f"document {doc_id!r} was edited (or removed) while stream() "
-                    "was running; restart the stream, or use page() for "
-                    "edit-stable pagination"
-                )
-
-        def iterate():
-            check_fresh()
-            try:
-                while True:
-                    chunk = self._next_chunk(stream)
-                    if chunk is None:
-                        return
-                    answers, exhausted = chunk
-                    for answer in answers:
-                        check_fresh()
-                        yield answer
-                    if exhausted:
-                        return
-            finally:
-                self._close_stream(stream)
-
-        return iterate()
-
-    def _next_chunk(self, stream: _ClientStream):
-        """Pop one buffered chunk, blocking on the socket if none arrived.
-
-        Runs the same adaptive-credit bookkeeping as the shard pool: a full
-        buffer (buffered chunks plus unreturned grants covering the whole
-        window) votes to shrink the window, a stall votes to grow it, and
-        grants top the window up to the controller's current target.
-        """
-        if stream.chunks:
-            self.credit.note_buffered(len(stream.chunks) + stream.to_grant, stream.window)
-        stalled_at: Optional[float] = None
-        while not stream.chunks:
-            if stream.error is not None:
-                raise stream.error
-            if stream.done or stream.closed:
-                return None
-            if stalled_at is None:
-                stalled_at = perf_counter()
-            self._recv_one()
-        if stalled_at is not None:
-            self._metrics.observe("net_stream_stall_seconds", perf_counter() - stalled_at)
-            self.stream_stalls_total += 1
-            self.credit.note_stall()
-        answers, exhausted = stream.chunks.pop(0)
-        stream.to_grant += 1
-        target = self.credit.window
-        if (
-            not exhausted
-            and not stream.done
-            and stream.to_grant >= max(1, min(stream.window, target) // 2)
-        ):
-            grant = max(0, target - (stream.window - stream.to_grant))
-            stream.window = stream.window - stream.to_grant + grant
-            stream.to_grant = 0
-            if grant > 0:
-                self._send([stream.request_id, "stream_credit", grant])
-                self.stream_round_trips_total += 1
-                self._metrics.inc("net_stream_round_trips_total")
-        return answers, exhausted
-
-    def _close_stream(self, stream: _ClientStream) -> None:
+    def _close_stream(self, stream: _PushStream) -> None:
         if stream.closed:
             return
         stream.closed = True
@@ -553,6 +329,7 @@ class RemoteEngine:
     # ------------------------------------------------------------- monitoring
     def net_stats(self) -> Dict[str, object]:
         """Client-side transport counters (the adaptive window included)."""
+        stalls = self._metrics.histograms.get("net_stream_stall_seconds")
         return {
             "credit": self.credit.window,
             "credit_start": STREAM_CREDIT,
@@ -560,7 +337,7 @@ class RemoteEngine:
             "credit_shrunk": self.credit.shrunk_total,
             "chunks": self.stream_chunks_total,
             "round_trips": self.stream_round_trips_total,
-            "stalls": self.stream_stalls_total,
+            "stalls": 0 if stalls is None else stalls.count,
             "open_streams": len(self._streams),
         }
 
@@ -600,18 +377,6 @@ class RemoteEngine:
         try:
             self._sock.close()
         except OSError:  # pragma: no cover
-            pass
-
-    def __enter__(self) -> "RemoteEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover — best-effort cleanup
-        try:
-            self.close()
-        except Exception:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -56,6 +56,7 @@ import multiprocessing
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -678,12 +679,22 @@ class TestNetworkDifferential:
                 with RemoteEngine(server.address, stream_chunk_size=1) as remote:
                     doc = remote.add_tree(tree.copy(), query)
                     iterator = iter(doc.stream())
-                    collected = []
-                    for _ in range(len(oracle)):
-                        # Interleaved calls drain pushed chunks into the
-                        # stream buffer faster than the consumer pops them —
-                        # the network shape of a slow consumer.
-                        remote.ping()
+                    collected = [next(iterator)]  # opens the stream
+                    (stream,) = remote._streams.values()
+                    for _ in range(len(oracle) - 1):
+                        # The network shape of a slow consumer: before each
+                        # pop, interleaved calls drain pushed chunks into the
+                        # stream buffer until it covers the stream's whole
+                        # outstanding window — the condition the full-buffer
+                        # vote checks.  One call per answer is not enough: a
+                        # call's reply can overtake chunks still being pushed.
+                        deadline = time.monotonic() + 10.0
+                        while (
+                            len(stream.chunks) + stream.to_grant < stream.window
+                            and not stream.done
+                            and time.monotonic() < deadline
+                        ):
+                            remote.ping()
                         collected.append(next(iterator))
                     assert _ordered_answers(collected) == _ordered_answers(oracle)
                     stats = remote.net_stats()

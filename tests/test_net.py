@@ -60,6 +60,7 @@ from repro.net.framing import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.cursor import CursorInvalidation
+from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Delete, Insert, InsertRight, Relabel
 from repro.trees.unranked import UnrankedTree
 
@@ -463,6 +464,19 @@ class TestServerProtocol:
             finally:
                 server.stop()
 
+    def test_unstarted_stream_holds_no_server_slot(self):
+        tree = UnrankedTree.from_nested(("b", ["a"] * 30))
+        with Engine() as engine:
+            server = EngineServer(engine, max_streams=1).start()
+            try:
+                with RemoteEngine(server.address, stream_chunk_size=1) as remote:
+                    doc = remote.add_tree(tree, queries.select_labeled("a"))
+                    abandoned = doc.stream()  # never iterated
+                    del abandoned
+                    assert len(list(doc.stream())) == 30
+            finally:
+                server.stop()
+
     def test_idle_timeout_drops_the_connection(self):
         with Engine(page_size=3) as engine:
             server = EngineServer(engine, idle_timeout=0.2).start()
@@ -501,6 +515,88 @@ class TestServerProtocol:
                     assert doc.count() == len(list(doc.stream()))
             finally:
                 server.stop()
+
+
+@pytest.fixture(params=["in-process", "workers=1", "remote"])
+def front_end(request):
+    """Each serving front end: in-process, sharded, and networked."""
+    with Engine(workers=1 if request.param == "workers=1" else 0) as engine:
+        if request.param != "remote":
+            yield engine
+            return
+        server = EngineServer(engine, idle_timeout=None).start()
+        try:
+            with RemoteEngine(server.address) as remote:
+                yield remote
+        finally:
+            server.stop()
+
+
+class TestFrontHalfParity:
+    """Every front end enforces the shared front-half rules with the same
+    exception type and message."""
+
+    @staticmethod
+    def _raises(error_type, message, call):
+        with pytest.raises(ReproError) as info:
+            call()
+        assert type(info.value) is error_type
+        assert str(info.value) == message
+
+    def test_ingest_rules(self, front_end):
+        word_query = regex_to_wva(".*x{aa}.*", ["a", "b"])
+        tree_query = queries.select_labeled("a")
+        self._raises(
+            ServingError,
+            "doc_ids (2) and contents (1) differ in length",
+            lambda: front_end.add_documents(["ab"], word_query, doc_ids=[1, 2]),
+        )
+        self._raises(
+            ServingError,
+            "queries (2) and contents (1) differ in length",
+            lambda: front_end.add_documents(["ab"], queries=[word_query, word_query]),
+        )
+        self._raises(
+            ServingError,
+            "add_documents needs a query: pass query= (shared) or queries= (per item)",
+            lambda: front_end.add_documents(["ab"]),
+        )
+        digest = front_end.compile(word_query).digest
+        self._raises(
+            EngineError,
+            f"cannot serve a tree document under a word query (digest {digest[:12]}...)",
+            lambda: front_end.add_tree(_tree(), word_query),
+        )
+        front_end.add_tree(_tree(), tree_query, doc_id="taken")
+        self._raises(
+            ServingError,
+            "document id 'taken' already in use",
+            lambda: front_end.add_word("ab", word_query, doc_id="taken"),
+        )
+        self._raises(
+            ServingError,
+            "document id 'twice' already in use",
+            lambda: front_end.add_documents(["ab", "ba"], word_query, doc_ids=["twice", "twice"]),
+        )
+        assert front_end.doc_ids() == ["taken"]
+
+    def test_page_rules(self, front_end):
+        tree = UnrankedTree.from_nested(("b", ["a"] * 9))
+        doc = front_end.add_tree(tree, queries.select_labeled("a"), doc_id="first")
+        other = front_end.add_tree(tree.copy(), queries.select_labeled("a"), doc_id="second")
+        page = doc.page(page_size=2)
+        self._raises(
+            EngineError,
+            "page_size is fixed when a cursor is opened; continue with page(cursor=...) only",
+            lambda: doc.page(cursor=page, page_size=5),
+        )
+        self._raises(EngineError, "page_size must be >= 1", lambda: doc.page(page_size=0))
+        self._raises(
+            EngineError,
+            f"page cursor {page.cursor_id} belongs to document 'first', not 'second'",
+            lambda: other.page(cursor=page),
+        )
+        assert doc.page(cursor=page).offset == 2
 
 
 class TestRemoteEngineSurface:

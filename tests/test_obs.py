@@ -414,6 +414,38 @@ class TestLifecycleErrors:
         with pytest.raises(EngineError, match="engine is closed"):
             engine.dump_trace("unused.json")
 
+    @pytest.mark.parametrize("front_end", ["in-process", "workers=1", "remote"])
+    def test_document_ops_on_a_closed_engine_say_closed(self, front_end):
+        """Every front end reports its closed state before looking up the
+        document: no ``no document with id`` error, no stale epoch."""
+        from repro.net import EngineServer, RemoteEngine
+
+        served = Engine(workers=1 if front_end == "workers=1" else 0)
+        server = None
+        engine = served
+        if front_end == "remote":
+            server = EngineServer(served).start()
+            engine = RemoteEngine(server.address)
+        try:
+            doc = engine.add_tree(small_tree(), tree_query())
+            engine.close()
+            calls = (
+                doc.stream,
+                doc.page,
+                lambda: doc.apply_edits([]),
+                doc.count,
+                lambda: doc.epoch,
+                lambda: engine.remove(doc.doc_id),
+            )
+            for call in calls:
+                with pytest.raises(EngineError, match="this engine is closed"):
+                    call()
+        finally:
+            if server is not None:
+                engine.close()
+                server.stop()
+            served.close()
+
     def test_failed_construction_monitoring_raises_engine_error(self):
         captured = {}
 
