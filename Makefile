@@ -13,16 +13,10 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-engine-strict lint net-smoke bench-smoke perfbench-smoke bench
+.PHONY: check test lint net-smoke bench-smoke perfbench-smoke bench
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
-
-# The engine test module runs a second time with DeprecationWarning promoted
-# to an error: new code cannot silently call the deprecated shims
-# (TreeEnumerator / WordEnumerator / DocumentStore).
-test-engine-strict:
-	$(PYPATH) $(PYTHON) -m pytest tests/test_engine.py -q -W error::DeprecationWarning $(PYTEST_TIMEOUT_FLAGS)
 
 # Lint (requires ruff; CI installs it — locally skipped when absent, but a
 # real ruff failure propagates).
@@ -54,5 +48,5 @@ perfbench-smoke:
 bench:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py
 
-check: test test-engine-strict net-smoke bench-smoke perfbench-smoke
-	@echo "check OK: tier-1 tests + strict engine tests + net smoke + perf smoke + perfbench smoke passed"
+check: test net-smoke bench-smoke perfbench-smoke
+	@echo "check OK: tier-1 tests + net smoke + perf smoke + perfbench smoke passed"

@@ -37,7 +37,7 @@ from repro.bench.workloads import (
 )
 from repro.core.enumerator import TreeRuntime
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "matrix", "bitset")
 
 
 @contextlib.contextmanager
@@ -174,19 +174,43 @@ def bench_update(sizes, n_updates: int, passes: int = 2):
     }
 
 
-def _iter_delays(iterator, max_answers=None):
-    """Per-``next()`` wall-clock delays of an answer iterator."""
-    delays = []
-    while True:
-        start = time.perf_counter()
-        try:
-            next(iterator)
-        except StopIteration:
-            break
-        delays.append(time.perf_counter() - start)
-        if max_answers is not None and len(delays) >= max_answers:
-            break
-    return delays
+#: The engine-facade and build-cache legs are timed as pairs (one
+#: measurement of each side) and gated on the median of the per-pair
+#: ratios: one load spike then spoils one ratio, not the gate.
+PAIRED_RUNS = 7
+#: answers timed per side of one facade pair: a ~10 us per-answer median
+#: over 150 answers read noise far wider than the 5% facade bound.
+FACADE_ANSWERS = 2000
+
+
+def _interleaved_median_delays(first, second, n_answers):
+    """Median per-answer delays of two answer iterators, timed in lockstep.
+
+    The two iterators advance one answer each per step, and the order flips
+    every step, so host load and cache warmth hit both sides equally at
+    answer granularity instead of landing on whichever side ran during a
+    spike (or always ran second).
+    """
+    clock = time.perf_counter
+    first, second = iter(first), iter(second)
+    delays_first, delays_second = [], []
+    with _gc_paused():
+        for step in range(n_answers):
+            if step & 1:
+                start = clock()
+                next(second)
+                middle = clock()
+                next(first)
+                delays_second.append(middle - start)
+                delays_first.append(clock() - middle)
+            else:
+                start = clock()
+                next(first)
+                middle = clock()
+                next(second)
+                delays_first.append(middle - start)
+                delays_second.append(clock() - middle)
+    return statistics.median(delays_first), statistics.median(delays_second)
 
 
 def bench_delay(size: int, max_answers: int):
@@ -194,10 +218,13 @@ def bench_delay(size: int, max_answers: int):
 
     Also measures the **engine facade**: the same document and query, once
     through ``TreeRuntime.assignments()`` directly and once through
-    ``Engine → Document.stream()``, with one measurement harness for both
-    (interleaved passes, best-of-3 medians).  The facade must be free —
-    ``stream()`` hands back the runtime's own iterator — and the smoke gate
-    holds it to <5% overhead on the bitset delay median.
+    ``Engine → Document.stream()``, with one measurement harness for both.
+    Each side is built once; each of :data:`PAIRED_RUNS` pairs then times a
+    fresh stream of :data:`FACADE_ANSWERS` answers per side, in lockstep
+    (:func:`_interleaved_median_delays`), and the reported ratio is the
+    median of the per-pair ratios.  The facade must be free — ``stream()``
+    hands back the runtime's own iterator — and the smoke gate holds it to
+    <5% overhead on the bitset delay median.
     """
     results = {}
     for backend in BACKENDS:
@@ -215,50 +242,31 @@ def bench_delay(size: int, max_answers: int):
     from repro import Engine
 
     tree = tree_for_experiment(size, "random", seed=SEED)
-    direct_medians = []
-    facade_medians = []
-    for pass_index in range(3):
-
-        def _measure_direct():
-            runtime = TreeRuntime(tree, query_for_name("descendant"), relation_backend="bitset")
-            with _gc_paused():
-                direct_medians.append(
-                    statistics.median(_iter_delays(iter(runtime.assignments()), max_answers))
-                )
-
-        def _measure_facade():
-            with Engine(backend="bitset") as engine:
-                doc = engine.add_tree(tree, query_for_name("descendant"))
-                with _gc_paused():
-                    facade_medians.append(
-                        statistics.median(_iter_delays(iter(doc.stream()), max_answers))
-                    )
-
-        # alternate the order so warm-cache effects hit both sides equally
-        first, second = (
-            (_measure_direct, _measure_facade)
-            if pass_index % 2 == 0
-            else (_measure_facade, _measure_direct)
-        )
-        first()
-        second()
-    direct_best = min(direct_medians)
-    facade_best = min(facade_medians)
+    runtime = TreeRuntime(tree.copy(), query_for_name("descendant"), relation_backend="bitset")
+    with Engine(backend="bitset") as engine:
+        doc = engine.add_tree(tree.copy(), query_for_name("descendant"))
+        pairs = [
+            _interleaved_median_delays(runtime.assignments(), doc.stream(), FACADE_ANSWERS)
+            for _ in range(PAIRED_RUNS)
+        ]
+    direct_medians = [direct for direct, _facade in pairs]
+    facade_medians = [facade for _direct, facade in pairs]
+    ratio = statistics.median(facade / direct for direct, facade in pairs)
     return {
         "bench": "delay_constant",
         "workload": {"query": "descendant", "shape": "random", "seed": SEED, "size": size},
         "backends": results,
         "engine_facade": {
-            "direct_median_s": direct_best,
-            "engine_median_s": facade_best,
-            "overhead_ratio": facade_best / direct_best if direct_best else float("inf"),
+            "direct_median_s": statistics.median(direct_medians),
+            "engine_median_s": statistics.median(facade_medians),
+            "answers_per_side": FACADE_ANSWERS,
+            "pairs": len(direct_medians),
+            "overhead_ratio": ratio,
             # The engine carries the observability instrumentation in its
             # *off* state here (no trace, no delay budget), so this same
             # ratio doubles as the tracing-off overhead gate: all the hooks
             # left in the hot path together must cost <5%.
-            "tracing_off_overhead_ratio": (
-                facade_best / direct_best if direct_best else float("inf")
-            ),
+            "tracing_off_overhead_ratio": ratio,
         },
     }
 
@@ -581,34 +589,60 @@ def bench_serving(
             }
             return times, answers
 
-        _clear_query_caches()
-        with Engine(catalog=catalog_dir, build_cache_size=0) as engine:
-            cold_times, cold_answers = _dup_ingest(engine)
-        _clear_query_caches()
-        with Engine(catalog=catalog_dir) as engine:
-            warm_times, warm_answers = _dup_ingest(engine)
-            cache_counters = {
-                key: value
-                for key, value in engine.stats().items()
-                if key.startswith("build_cache_")
-            }
+        def _cold_leg():
+            _clear_query_caches()
+            with Engine(catalog=catalog_dir, build_cache_size=0) as engine:
+                return _dup_ingest(engine)
+
+        def _warm_leg():
+            _clear_query_caches()
+            with Engine(catalog=catalog_dir) as engine:
+                times, answers = _dup_ingest(engine)
+                counters = {
+                    key: value
+                    for key, value in engine.stats().items()
+                    if key.startswith("build_cache_")
+                }
+            return times, answers, counters
+
+        cold_legs, warm_legs = [], []
+        for pair_index in range(PAIRED_RUNS):
+            # flip the order each pair: drift and warm-up hit both legs alike
+            if pair_index % 2:
+                warm_legs.append(_warm_leg())
+                cold_legs.append(_cold_leg())
+            else:
+                cold_legs.append(_cold_leg())
+                warm_legs.append(_warm_leg())
+        cold_totals = [sum(times) for times, _answers in cold_legs]
+        warm_totals = [sum(times) for times, _answers, _counters in warm_legs]
+        # every warm leg starts from an empty cache, so the counters agree
+        cache_counters = warm_legs[0][2]
         build_cache_section = {
             "n_docs": n_docs,
             "doc_size": size,
             "query": dup_query_name,
+            "pairs": len(cold_legs),
             "cold": {  # cache disabled: every document pays the full build
-                "ingest_total_s": sum(cold_times),
-                "doc_build_median_s": statistics.median(cold_times),
+                "ingest_total_s": statistics.median(cold_totals),
+                "doc_build_median_s": statistics.median(
+                    t for times, _answers in cold_legs for t in times
+                ),
             },
             "warm": {  # cache enabled: documents 2..n build from the cache
-                "ingest_total_s": sum(warm_times),
-                "doc_build_median_s": statistics.median(warm_times),
+                "ingest_total_s": statistics.median(warm_totals),
+                "doc_build_median_s": statistics.median(
+                    t for times, _answers, _counters in warm_legs for t in times
+                ),
                 **cache_counters,
             },
-            "ingest_speedup": (
-                sum(cold_times) / sum(warm_times) if sum(warm_times) else float("inf")
+            "ingest_speedup": statistics.median(
+                cold / warm if warm else float("inf")
+                for cold, warm in zip(cold_totals, warm_totals)
             ),
-            "answers_match_cache_disabled": cold_answers == warm_answers,
+            "answers_match_cache_disabled": all(
+                cold[1] == warm[1] for cold, warm in zip(cold_legs, warm_legs)
+            ),
         }
 
         # -- observability variant (PR 8): the sharded fleet with the live

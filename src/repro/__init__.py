@@ -18,11 +18,7 @@ The front door is the unified engine API (``from repro import Engine``):
 * :class:`repro.ResultPage` — the one page type, backed by edit-stable
   cursors.
 
-Every exception derives from :class:`repro.ReproError`.  The historical
-entry points — :class:`~repro.core.enumerator.TreeEnumerator`,
-:class:`~repro.core.enumerator.WordEnumerator`,
-:class:`~repro.serving.DocumentStore` — keep working as deprecated shims
-over the engine.
+Every exception derives from :class:`repro.ReproError`.
 """
 
 from repro.assignments import (
@@ -55,7 +51,7 @@ from repro.errors import (
     UnsupportedUpdateError,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     # unified engine API (lazily imported)
@@ -108,14 +104,6 @@ def __getattr__(name):
         from repro import net
 
         return getattr(net, name)
-    if name in {"TreeEnumerator", "WordEnumerator"}:
-        from repro.core import enumerator
-
-        return getattr(enumerator, name)
-    if name == "DocumentStore":
-        from repro import serving
-
-        return serving.DocumentStore
     if name == "queries":
         from repro.automata import queries
 

@@ -30,6 +30,20 @@ InitialTriple = Tuple[object, FrozenSet[object], object]
 TransitionTuple = Tuple[object, object, object, object]
 
 
+def _canonical_order(values: Iterable[object]) -> Tuple[object, ...]:
+    """``values`` sorted by their canonical serialized form.
+
+    Independent of hash seeds.  Values the catalog codec cannot encode keep
+    their iteration order; such automata never leave their process.
+    """
+    from repro.automata.serialize import canonical_key, encode_value  # import cycle
+
+    try:
+        return tuple(sorted(values, key=lambda v: canonical_key(encode_value(v))))
+    except InvalidAutomatonError:
+        return tuple(values)
+
+
 class BinaryTVA:
     """A (generally nondeterministic) tree variable automaton on binary trees."""
 
@@ -50,6 +64,35 @@ class BinaryTVA:
         self.delta: Tuple[TransitionTuple, ...] = tuple(delta)
         self.final: FrozenSet[object] = frozenset(final)
         self.name = name
+        self.validate()
+
+        # The circuit construction numbers ∪-gate slots in ``state_order`` and
+        # orders gate inputs as ``initial``/``delta`` list them, and those
+        # numbers fix the enumeration order.  A frozenset iterates in an order
+        # that depends on the hash seed and on insertion history, so the
+        # order is taken from the content instead: equal automata (one
+        # compiled in this process, one decoded in a shard worker) then
+        # enumerate their answers identically.
+        #: ``states`` in a content-determined order
+        self.state_order: Tuple[object, ...] = _canonical_order(self.states)
+        state_rank = {state: i for i, state in enumerate(self.state_order)}
+        var_rank = {var: i for i, var in enumerate(_canonical_order(self.variables))}
+        labels = {t[0] for t in self.initial} | {t[0] for t in self.delta}
+        label_rank = {label: i for i, label in enumerate(_canonical_order(labels))}
+        self.initial = tuple(
+            sorted(
+                self.initial,
+                key=lambda t: (
+                    label_rank[t[0]], state_rank[t[2]], sorted(var_rank[v] for v in t[1])
+                ),
+            )
+        )
+        self.delta = tuple(
+            sorted(
+                self.delta,
+                key=lambda t: (label_rank[t[0]], state_rank[t[1]], state_rank[t[2]], state_rank[t[3]]),
+            )
+        )
 
         # -------- indexes used by the circuit construction and run checking
         #: label -> list of (variable set, state)
@@ -68,7 +111,6 @@ class BinaryTVA:
             self.delta_by_children.setdefault((label, q1, q2), set()).add(q)
             self.delta_by_label.setdefault(label, []).append((q1, q2, q))
 
-        self.validate()
         self._zero_states: Optional[FrozenSet[object]] = None
         self._one_states: Optional[FrozenSet[object]] = None
 

@@ -30,7 +30,6 @@ __all__ = [
     "binary_satisfying_assignments",
     "binary_satisfying_assignments_by_valuations",
     "unranked_satisfying_assignments",
-    "unranked_satisfying_assignments_by_valuations",
     "powerset",
 ]
 
@@ -175,22 +174,4 @@ def unranked_satisfying_assignments(automaton: UnrankedTVA, tree: UnrankedTree) 
     result: Set[Assignment] = set()
     for state in automaton.final:
         result |= root.get(state, set())
-    return result
-
-
-def unranked_satisfying_assignments_by_valuations(
-    automaton: UnrankedTVA, tree: UnrankedTree
-) -> Set[Assignment]:
-    """Satisfying assignments by iterating over all valuations of all nodes."""
-    nodes = list(tree.nodes())
-    variables = sorted(automaton.variables, key=repr)
-    subsets = powerset(variables)
-    result: Set[Assignment] = set()
-    for choice in product(subsets, repeat=len(nodes)):
-        valuation = {node.node_id: vs for node, vs in zip(nodes, choice) if vs}
-        if automaton.accepts(tree, valuation):
-            assignment = frozenset(
-                (var, node.node_id) for node, vs in zip(nodes, choice) for var in vs
-            )
-            result.add(assignment)
     return result

@@ -110,7 +110,7 @@ _IN_PROD = 2
 class _InternalPlan:
     """Slot-resolved recipe for building every box with a given signature.
 
-    ``entries`` lists, in ``automaton.states`` order, either a sentinel value
+    ``entries`` lists, in ``automaton.state_order``, either a sentinel value
     (⊤/⊥) or the inputs of the state's ∪-gate as (source, index) pairs with
     the child slots already resolved; ``prod_pairs`` lists the ×-gates to
     create as (left slot, right slot).  Everything that does not depend on
@@ -312,7 +312,7 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
     var_index: Dict[frozenset, int] = {}
     slot_var_masks: List[int] = []
     union_count = 0
-    for state in automaton.states:
+    for state in automaton.state_order:
         entries = automaton.initial_by_label_state.get((label, state), [])
         if state in zero_states:
             if any(not vs for vs in entries):
@@ -350,35 +350,12 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
     )
 
 
-def _signature_of(box: Box) -> Tuple[Tuple[object, bool], ...]:
-    """The state signature of a box: its present (non-⊥) states, flagged for ⊤.
-
-    Normally read from ``box.state_sig`` (stamped by the plan that built the
-    box); this fallback recomputes it for boxes built by other means.  The
-    plan machinery assumes ∪-gate slots follow ``state_gate`` insertion
-    order, so a hand-built box violating that is rejected loudly here rather
-    than silently miswired.
-    """
-    signature = tuple((q, g is TOP) for q, g in box.state_gate.items() if g is not BOTTOM)
-    slot = 0
-    for state, is_top in signature:
-        if is_top:
-            continue
-        if box.state_gate[state].slot != slot:
-            raise CircuitStructureError(
-                "box's ∪-gate slots do not follow state_gate insertion order; "
-                "create each state's gate in the order its state_gate entry is inserted"
-            )
-        slot += 1
-    return signature
-
-
 def _slots_of_signature(sig: Tuple[Tuple[object, bool], ...]) -> Dict[object, int]:
     """State → ∪-gate slot for a child with the given signature.
 
-    Slots are assigned in ``state_gate`` insertion order (= ``automaton.states``
-    order, which the plans preserve) to the present states that are not ⊤, so
-    the mapping is fully determined by the signature.
+    Slots are assigned in ``state_gate`` insertion order (=
+    ``automaton.state_order``, which the plans preserve) to the present states
+    that are not ⊤, so the mapping is fully determined by the signature.
     """
     slots: Dict[object, int] = {}
     for state, is_top in sig:
@@ -432,7 +409,7 @@ def _internal_plan(
     local_mask = 0
     left_wire: List[int] = [0] * len(left_slots)
     right_wire: List[int] = [0] * len(right_slots)
-    for state in automaton.states:
+    for state in automaton.state_order:
         contribs = contributions.get(state, ())
         if state in zero_states:
             is_top = any(top1 and top2 for _q1, top1, _q2, top2 in contribs)
@@ -510,7 +487,7 @@ def _internal_plan(
 # dropped on export and refilled on demand).  That makes the whole per-
 # automaton plan cache exportable as a JSON-compatible payload keyed by
 # content — the circuits half of the persistent compiled queries served by
-# :mod:`repro.serving` (the automata half is
+# :mod:`repro.engine` (the automata half is
 # :mod:`repro.automata.serialize`).  A fresh process that installs a plan
 # payload builds its first document entirely from cache hits, skipping the
 # δ-product and classification work of every (label, signature) pair the
@@ -864,12 +841,7 @@ def build_internal_box(
 ) -> Box:
     """Build the box ``B_n`` for an internal node from its children's boxes."""
     left_sig = left_box.state_sig
-    if left_sig is None:
-        left_sig = _signature_of(left_box)
     right_sig = right_box.state_sig
-    if right_sig is None:
-        right_sig = _signature_of(right_box)
-
     internal_plans = _plan_cache(automaton)["internal"]
     key = (label, left_sig, right_sig)
     plan = internal_plans.get(key)

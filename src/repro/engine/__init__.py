@@ -31,10 +31,7 @@ Quickstart::
         page = doc.page(cursor=page)           # resumes — or a precise
                                                # CursorInvalidatedError
 
-All errors derive from :class:`repro.errors.ReproError`.  The historical
-entry points (``TreeEnumerator`` / ``WordEnumerator`` /
-``repro.serving.DocumentStore``) remain as deprecated shims over the same
-machinery.
+All errors derive from :class:`repro.errors.ReproError`.
 """
 
 from repro.engine.catalog import QueryCatalog

@@ -69,7 +69,7 @@ from repro.automata.serialize import query_digest
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import CompiledQuery
 from repro.engine.document import Document, ResultPage, STREAM_PAGE_SIZE
-from repro.engine.local import BatchUpdateReport, LocalStore, _batch_rows
+from repro.engine.local import BatchUpdateReport, LocalStore
 from repro.engine.query import Query, normalize_query_source
 from repro.engine.sharding import STREAM_CREDIT, ShardPool
 from repro.errors import EngineError, ServingError, ShardDiedError, StaleIteratorError
@@ -78,6 +78,46 @@ from repro.obs.tracing import trace_path_from_env
 from repro.trees.unranked import UnrankedTree
 
 __all__ = ["Engine"]
+
+
+def _batch_rows(contents, query=None, queries=None, doc_ids=None, taken=()):
+    """Validate the arguments of one ``add_documents`` batch.
+
+    Returns one ``(content, query, doc_id)`` row per document — words as
+    letter lists, ``doc_id`` ``None`` where the id is left to assign.  Raises
+    :class:`~repro.errors.ServingError` when ``queries`` or ``doc_ids``
+    differ in length from ``contents``, when an item has no query, or when an
+    explicit id is in ``taken`` or repeated within the batch — so a bad batch
+    fails before any document is built.  Every ingest front end
+    (:meth:`repro.Engine.add_documents`,
+    :meth:`repro.net.RemoteEngine.add_documents`) validates here, through
+    :meth:`_ServingFacade._prepare_ingest`.
+    """
+    contents = list(contents)
+    queries = None if queries is None else list(queries)
+    doc_ids = None if doc_ids is None else list(doc_ids)
+    for name, values in (("queries", queries), ("doc_ids", doc_ids)):
+        if values is not None and len(values) != len(contents):
+            raise ServingError(
+                f"{name} ({len(values)}) and contents ({len(contents)}) differ in length"
+            )
+    rows = []
+    claimed = set()
+    for index, content in enumerate(contents):
+        item_query = query if queries is None else queries[index]
+        if item_query is None:
+            raise ServingError(
+                "add_documents needs a query: pass query= (shared) or queries= (per item)"
+            )
+        doc_id = None if doc_ids is None else doc_ids[index]
+        if doc_id is not None:
+            if doc_id in taken or doc_id in claimed:
+                raise ServingError(f"document id {doc_id!r} already in use")
+            claimed.add(doc_id)
+        if not isinstance(content, UnrankedTree):
+            content = list(content)
+        rows.append((content, item_query, doc_id))
+    return rows
 
 
 class _ServingFacade:
@@ -374,8 +414,8 @@ class Engine(_ServingFacade):
         directory; when none is given it creates a private temporary one
         (removed on :meth:`close`).
     backend:
-        Default relation backend (``"pairs"`` / ``"matrix"`` / ``"bitset"`` /
-        ``"numpy"``) for every document; ``None`` = the library default.
+        Default relation backend (``"pairs"`` / ``"matrix"`` / ``"bitset"``)
+        for every document; ``None`` = the library default.
     workers:
         ``0`` (default) serves in-process; ``N >= 1`` partitions documents
         across ``N`` worker processes (load-aware placement, routed by

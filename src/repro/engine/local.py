@@ -25,10 +25,6 @@ Word edits are specified as tuples (the word maintainer's operations have no
 first-class edit objects): ``("replace", position_id, letter)``,
 ``("insert_after", position_id_or_None, letter)``, ``("delete",
 position_id)``.
-
-The historical public names live in :mod:`repro.serving`:
-``DocumentStore`` is a deprecated shim subclass of :class:`LocalStore`, and
-``ServedDocument`` is an alias of :class:`LocalDocument`.
 """
 
 from __future__ import annotations
@@ -54,45 +50,6 @@ from repro.trees.edits import EditOperation
 from repro.trees.unranked import UnrankedTree
 
 __all__ = ["LocalStore", "LocalDocument", "BatchUpdateReport"]
-
-
-def _batch_rows(contents, query=None, queries=None, doc_ids=None, taken=()):
-    """Validate the arguments of one ``add_documents`` batch.
-
-    Returns one ``(content, query, doc_id)`` row per document — words as
-    letter lists, ``doc_id`` ``None`` where the id is left to assign.  Raises
-    :class:`~repro.errors.ServingError` when ``queries`` or ``doc_ids``
-    differ in length from ``contents``, when an item has no query, or when an
-    explicit id is in ``taken`` or repeated within the batch — so a bad batch
-    fails before any document is built.  Every ingest front end
-    (:meth:`LocalStore.add_documents`, :meth:`repro.Engine.add_documents`,
-    :meth:`repro.net.RemoteEngine.add_documents`) validates here.
-    """
-    contents = list(contents)
-    queries = None if queries is None else list(queries)
-    doc_ids = None if doc_ids is None else list(doc_ids)
-    for name, values in (("queries", queries), ("doc_ids", doc_ids)):
-        if values is not None and len(values) != len(contents):
-            raise ServingError(
-                f"{name} ({len(values)}) and contents ({len(contents)}) differ in length"
-            )
-    rows = []
-    claimed = set()
-    for index, content in enumerate(contents):
-        item_query = query if queries is None else queries[index]
-        if item_query is None:
-            raise ServingError(
-                "add_documents needs a query: pass query= (shared) or queries= (per item)"
-            )
-        doc_id = None if doc_ids is None else doc_ids[index]
-        if doc_id is not None:
-            if doc_id in taken or doc_id in claimed:
-                raise ServingError(f"document id {doc_id!r} already in use")
-            claimed.add(doc_id)
-        if not isinstance(content, UnrankedTree):
-            content = list(content)
-        rows.append((content, item_query, doc_id))
-    return rows
 
 
 @dataclass
@@ -156,10 +113,6 @@ class LocalDocument:
     def count(self, limit: Optional[int] = None) -> int:
         return self.enumerator.count(limit=limit)
 
-    def open_cursors(self) -> List[Cursor]:
-        """The currently resumable (active) cursors."""
-        return [c for c in self._cursors if c.is_active()]
-
     def trunk_boxes(self, node_or_position_id: int) -> List:
         """The boxes a (non-rebalancing) edit at the given node would rebuild.
 
@@ -168,7 +121,7 @@ class LocalDocument:
         maintained term.  Rebalancing can enlarge the actual trunk, so this
         is a lower bound; it is exact for relabel edits on a balanced term
         and is what tests and capacity planning use to predict cursor
-        invalidation (``store.would_invalidate``).
+        invalidation (against :meth:`Cursor.referenced_boxes`, by serial).
         """
         term = self.enumerator.term
         leaf = term.leaf_of.get(node_or_position_id)
@@ -479,26 +432,6 @@ class LocalStore:
         self.metrics.observe("ingest_build_seconds", perf_counter() - start)
         return self._register(enumerator, "word", entry.digest, doc_id)
 
-    def add_documents(
-        self, contents, query=None, *, queries=None, doc_ids=None
-    ) -> List[LocalDocument]:
-        """Add many documents under standing queries (kind by content type).
-
-        The single-process face of :meth:`repro.Engine.add_documents`:
-        ``contents`` holds trees and/or words, ``query`` (shared) or
-        ``queries`` (one per item) names the standing queries, ``doc_ids``
-        optionally fixes ids.  The arguments are validated before any
-        build; documents are then added in order and the first failure
-        propagates (earlier documents stay registered).
-        """
-        documents = []
-        for content, item_query, doc_id in _batch_rows(
-            contents, query, queries, doc_ids, self._documents
-        ):
-            add = self.add_tree if isinstance(content, UnrankedTree) else self.add_word
-            documents.append(add(content, item_query, doc_id=doc_id))
-        return documents
-
     def _register(self, enumerator, kind: str, digest: str, doc_id) -> LocalDocument:
         if doc_id is None:
             doc_id = next(self._doc_ids)
@@ -531,37 +464,6 @@ class LocalStore:
         # epoch mirror is dropped with the document).
         document.enumerator.invalidate_iterators()
         del self._documents[doc_id]
-
-    def doc_ids(self) -> List[object]:
-        return list(self._documents)
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    # ------------------------------------------------------------------ traffic
-    def apply_edits(self, doc_id, edits: Iterable) -> BatchUpdateReport:
-        """Apply a batch of edits to one document (one epoch step)."""
-        return self.document(doc_id).apply_edits(edits)
-
-    def open_cursor(self, doc_id, page_size: int = 50) -> Cursor:
-        """Open a paginated cursor on one document."""
-        return self.document(doc_id).open_cursor(page_size)
-
-    def would_invalidate(self, doc_id, cursor: Cursor, node_or_position_id: int) -> bool:
-        """Predict whether an edit at a node *could* hit a cursor.
-
-        Compares the node's prospective trunk (:meth:`ServedDocument.trunk_boxes`)
-        against the cursor's currently referenced boxes by build serial.  This
-        is the coarse whole-box projection of the cursor's dependency set, so
-        it is an upper bound: an actual edit whose rebuilt boxes are
-        fingerprint-equal at every slot the cursor still reads will let the
-        cursor resume even though this predicted a hit.  A predicted ``False``
-        can only turn into an actual invalidation through rebalancing, which
-        structural edits may additionally trigger.
-        """
-        document = self.document(doc_id)
-        trunk = {box.serial for box in document.trunk_boxes(node_or_position_id)}
-        return any(box.serial in trunk for box in cursor.referenced_boxes())
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, object]:

@@ -101,16 +101,14 @@ class CircuitEnumerator:
 
         The mask path *is* the bitset composition chain (word-parallel
         Γ-position masks), so it is taken exactly when the indexed procedure
-        would run on the ``bitset`` backend or its packed ``numpy`` variant
-        (whose index relations hand out the same cached mask lists via
-        ``masks_view``); ``pairs``/``matrix`` requests keep the generic
-        relation-based chain so the backend ablation (experiment E10) still
-        measures what it claims to.
+        would run on the ``bitset`` backend; ``pairs``/``matrix`` requests
+        keep the generic relation-based chain so the backend ablation
+        (experiment E10) still measures what it claims to.
         """
         if not self.use_index:
             return False
         backend = self.relation_backend or get_default_backend()
-        return backend in ("bitset", "numpy")
+        return backend == "bitset"
 
     def root_boxed_set(self, final_states: Optional[Sequence[object]] = None) -> Tuple[List[UnionGate], bool]:
         """Return the boxed set of final-state root gates and the empty-answer flag.

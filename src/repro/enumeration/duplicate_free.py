@@ -76,7 +76,6 @@ from repro.circuits.gates import Box, ProdGate, UnionGate, VarGate
 from repro.enumeration.box_enum import indexed_box_enum
 from repro.enumeration.index import fbb_of_mask, fib_of_mask
 from repro.enumeration.relations import Relation, get_default_backend, iter_bits
-from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
 __all__ = ["enumerate_boxed_set", "enumerate_boxed_masks", "MaskStackEnumeration"]
@@ -119,7 +118,7 @@ def enumerate_boxed_set(
     if (
         box_enum is indexed_box_enum
         and gamma[0].box.index is not None
-        and get_default_backend() in ("bitset", "numpy")
+        and get_default_backend() == "bitset"
     ):
         for assignment, prov_mask in enumerate_boxed_masks(gamma):
             yield assignment, frozenset(gamma[p] for p in iter_bits(prov_mask))
@@ -230,15 +229,6 @@ def _compose_masks_lm(stored: Sequence[int], g: Sequence[int]) -> Tuple[List[int
     return out, lower_mask
 
 
-def _wire_masks(box: Box, left: bool) -> Sequence[int]:
-    """Transposed ∪-wire masks (child slot → mask of box slots) for one side."""
-    plan = box.wire_plan
-    if plan is not None:
-        masks = plan.wire_masks
-        return masks[0] if left else masks[1]
-    return wire_relation(box, "left" if left else "right", "bitset").masks_view()
-
-
 def _materialize(part) -> Assignment:
     """Union the var-gate assignments of a nested 2-tuple part tree."""
     if type(part) is not tuple:
@@ -340,8 +330,9 @@ class MaskStackEnumeration:
         The coarse projection of :meth:`dependency_masks` — every box that
         appears with a nonzero read mask, plus the pending right-child box of
         an in-flight ×-gate combination.  Kept for capacity planning
-        (``LocalStore.would_invalidate``) and introspection; the cursor
-        resume-or-invalidate decision uses the per-slot masks instead.
+        (against :meth:`~repro.engine.local.LocalDocument.trunk_boxes`) and
+        introspection; the cursor resume-or-invalidate decision uses the
+        per-slot masks instead.
         """
         boxes: List[Box] = []
         seen = set()
@@ -539,12 +530,7 @@ class MaskStackEnumeration:
                     if best_rank[:prefix] != index.targets[first].rank[:prefix]:
                         continue
                     rel_bid = _compose_masks(index.targets[best].relation.masks_view(), g)
-                    plan = best.wire_plan
-                    if plan is not None:
-                        wire_left, wire_right = plan.wire_masks
-                    else:
-                        wire_left = _wire_masks(best, True)
-                        wire_right = _wire_masks(best, False)
+                    wire_left, wire_right = best.wire_plan.wire_masks
                     rel_left, lm_left = _compose_masks_lm(wire_left, rel_bid)
                     rel_right, lm_right = _compose_masks_lm(wire_right, rel_bid)
                     if lm_left:
@@ -565,12 +551,7 @@ class MaskStackEnumeration:
                 if index.fbb_ranks:
                     steps.append((True, cur_box, g, lower_mask))
                 if first.left_child is not None:
-                    plan = first.wire_plan
-                    if plan is not None:
-                        wire_left, wire_right = plan.wire_masks
-                    else:
-                        wire_left = _wire_masks(first, True)
-                        wire_right = _wire_masks(first, False)
+                    wire_left, wire_right = first.wire_plan.wire_masks
                     rel_l, lm_l = _compose_masks_lm(wire_left, rel_first)
                     rel_r, lm_r = _compose_masks_lm(wire_right, rel_first)
                     if lm_r:

@@ -78,7 +78,7 @@ class TargetInfo:
 class BoxIndex:
     """The per-box part of the index structure ``I(C)`` of Definition 6.1."""
 
-    __slots__ = ("box", "fib", "fbb_pair", "targets", "by_rank", "fib_ranks", "fbb_ranks")
+    __slots__ = ("box", "fib", "fbb_pair", "targets", "fib_ranks", "fbb_ranks")
 
     def __init__(self, box: Box):
         self.box = box
@@ -88,8 +88,6 @@ class BoxIndex:
         self.fbb_pair: Dict[Tuple[int, int], Box] = {}
         #: target box -> TargetInfo (relation, side, rank)
         self.targets: Dict[Box, TargetInfo] = {}
-        #: rank -> target box (lets lca_of resolve a computed rank to a box)
-        self.by_rank: Dict[Tuple[int, ...], Box] = {}
         #: per ∪-gate slot: rank of fib[slot] (parallel to fib; avoids a
         #: targets lookup per slot on the enumeration hot path)
         self.fib_ranks: List[Tuple[int, ...]] = []
@@ -97,52 +95,12 @@ class BoxIndex:
         self.fbb_ranks: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Box]] = {}
 
     # ------------------------------------------------------------------ api
-    def rank_of(self, box: Box) -> Tuple[int, ...]:
-        """Return the preorder rank of a target box."""
-        try:
-            return self.targets[box].rank
-        except KeyError:
-            raise IndexError_("box is not a target of this index entry") from None
-
     def relation_to(self, box: Box) -> Relation:
         """Return the stored relation ``R(box, B)``."""
         try:
             return self.targets[box].relation
         except KeyError:
             raise IndexError_("no stored reachability relation for this target box") from None
-
-    def lca_of(self, first: Box, second: Box) -> Box:
-        """Return the least common ancestor of two target boxes.
-
-        Computed from the rank path tuples: the lca sits at the longest
-        common prefix of the two paths.  When that box is itself a target
-        (always the case for the pairs Algorithm 3 queries) it is resolved
-        through ``by_rank``; otherwise the path prefix is walked down the
-        box tree, so the query still answers correctly — though only
-        *targets* carry a stored reachability relation.
-        """
-        try:
-            first_rank = self.targets[first].rank
-            second_rank = self.targets[second].rank
-        except KeyError:
-            raise IndexError_("lca of a non-target pair requested") from None
-        if first_rank == second_rank:
-            return first
-        common = 0
-        for a, b in zip(first_rank, second_rank):
-            if a != b:
-                break
-            common += 1
-        ancestor = self.by_rank.get(first_rank[:common] + (0,))
-        if ancestor is not None:
-            return ancestor
-        # The lca is not a stored target: its path prefix consists of 1/2
-        # steps only (a terminating 0 would have hit by_rank above), so walk
-        # it from the owning box.
-        node = self.box
-        for step in first_rank[:common]:
-            node = node.left_child if step == 1 else node.right_child
-        return node
 
     def is_ancestor(self, ancestor: Box, descendant: Box) -> bool:
         """Return True if ``ancestor`` is an ancestor of (or equal to) ``descendant``.
@@ -270,10 +228,8 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
     index = BoxIndex(box)
     n = box.n_unions
     targets = index.targets
-    by_rank = index.by_rank
     identity = Relation.identity(n, backend=relation_backend)
     targets[box] = TargetInfo(box, identity, SIDE_SELF, (0,))
-    by_rank[(0,)] = box
 
     if box.is_leaf_box():
         # Fast path: every slot of a leaf box has only var-gate inputs, so the
@@ -305,9 +261,7 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
     left_rank = (1,) + left_targets[left_box].rank
     right_rank = (2,) + right_targets[right_box].rank
     targets[left_box] = TargetInfo(left_box, left_relation, SIDE_LEFT, left_rank)
-    by_rank[left_rank] = left_box
     targets[right_box] = TargetInfo(right_box, right_relation, SIDE_RIGHT, right_rank)
-    by_rank[right_rank] = right_box
 
     fib = index.fib
     fbb_pair = index.fbb_pair
@@ -352,7 +306,6 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
             raise IndexError_("target box is not indexed in the child entry")
         rank = (prefix,) + info.rank
         targets[target] = TargetInfo(target, info.relation.compose(wire), side, rank)
-        by_rank[rank] = target
 
     # ------------------------------------------------------------------- fib
     for slot in range(n):

@@ -19,33 +19,22 @@ Three composition backends are provided:
   but each operation pays numpy call overhead, so it only beats the others
   once the width is large (tens of states and up).
 * ``"bitset"`` — one Python-int bitmask per lower slot (bit ``u`` set iff
-  ``(l, u) ∈ R``).  Composition, projection, emptiness, ``uppers_of`` and
-  ``restrict_upper`` are word-parallel OR/AND loops with **zero per-pair
-  object allocation**: composing through a mid slot is a single ``|=`` of a
-  machine word (or a few words for widths beyond 64).  At the widths the
-  circuits of Lemma 3.7 produce (width ≤ |Q|, usually well under 64) this is
-  the fastest backend by a wide margin and is therefore the default.
-* ``"numpy"`` — the packed, vectorized variant of ``bitset``: each relation
-  stores a ``(n_lower, ⌈n_upper/64⌉)`` ``uint64`` ndarray of little-endian
-  bit rows.  Emptiness, ``restrict_upper`` and equality stay packed bitwise
-  ops; composition bridges once through Boolean matrices
-  (``unpackbits → matmul → packbits``), so it is one vectorized call instead
-  of a Python loop whose per-row OR cost grows with the Python-big-int width.
-  For very wide automata (hundreds of states, i.e. many machine words per
-  row) this stops paying big-int costs; at small widths plain ``bitset``
-  still wins on constant factors, which is why it remains the default.
+  ``(l, u) ∈ R``).  Composition, projection and emptiness are word-parallel
+  OR/AND loops with **zero per-pair object allocation**: composing through a
+  mid slot is a single ``|=`` of a machine word (or a few words for widths
+  beyond 64).  At the widths the circuits of Lemma 3.7 produce (width ≤ |Q|,
+  usually well under 64) this is the fastest backend by a wide margin and is
+  therefore the default.
 
 Complexity per composition of ``w×w`` relations with ``p`` pairs:
 ``pairs`` is ``O(p·w)`` with ``O(p)`` tuple allocations, ``matrix`` is
 ``O(w^ω)`` plus constant numpy overhead, ``bitset`` is ``O(w·⌈w/64⌉)`` word
-operations with no allocation beyond the result masks, ``numpy`` is
-``O(w^ω)`` vectorized with three numpy calls of overhead.
+operations with no allocation beyond the result masks.
 
 The backend is chosen per relation at creation time (and propagated through
 compositions), with a module-level default that the benchmarks switch to
 compare the backends (experiment E10).  Mixed-backend compositions resolve
-to the "fastest" of the two operands' backends
-(bitset > numpy > matrix > pairs).
+to the "fastest" of the two operands' backends (bitset > matrix > pairs).
 """
 
 from __future__ import annotations
@@ -67,7 +56,7 @@ __all__ = [
 ]
 
 _DEFAULT_BACKEND = "bitset"
-_VALID_BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+_VALID_BACKENDS = ("pairs", "matrix", "bitset")
 #: the selectable composition backends, in documentation order
 VALID_BACKENDS = _VALID_BACKENDS
 
@@ -137,55 +126,6 @@ def _masks_from_matrix(matrix: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _np_words(n_upper: int) -> int:
-    """Number of uint64 words per packed row for ``n_upper`` upper slots."""
-    return (n_upper + 63) >> 6
-
-
-def _np_zero_rows(n_lower: int, n_upper: int) -> np.ndarray:
-    return np.zeros((n_lower, _np_words(n_upper)), dtype=np.uint64)
-
-
-def _np_from_masks(masks: Sequence[int], n_upper: int) -> np.ndarray:
-    """Pack per-lower Python-int bitmasks into a (n_lower, n_words) uint64 array."""
-    n_words = _np_words(n_upper)
-    rows = np.empty((len(masks), n_words), dtype=np.uint64)
-    n_bytes = n_words * 8
-    for i, mask in enumerate(masks):
-        rows[i] = np.frombuffer(int(mask).to_bytes(n_bytes, "little"), dtype=np.uint64)
-    return rows
-
-
-def _masks_from_np(rows: np.ndarray) -> List[int]:
-    """Per-lower Python-int bitmasks of a packed uint64 row array."""
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def _np_pack_bool(matrix: np.ndarray) -> np.ndarray:
-    """Pack a Boolean (n_lower, n_upper) matrix into little-endian uint64 rows."""
-    n_lower, n_upper = matrix.shape
-    n_words = _np_words(n_upper)
-    if n_lower == 0 or n_words == 0:
-        return np.zeros((n_lower, n_words), dtype=np.uint64)
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    if packed.shape[1] != n_words * 8:
-        padded = np.zeros((n_lower, n_words * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
-def _np_unpack_bool(rows: np.ndarray, n_upper: int) -> np.ndarray:
-    """Unpack uint64 rows back into a Boolean (n_lower, n_upper) matrix."""
-    n_lower = rows.shape[0]
-    if n_lower == 0 or n_upper == 0:
-        return np.zeros((n_lower, n_upper), dtype=bool)
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows).view(np.uint8), axis=1, count=n_upper, bitorder="little"
-    )
-    return bits.astype(bool, copy=False)
-
-
 class Relation:
     """A binary relation between ``n_lower`` lower slots and ``n_upper`` upper slots."""
 
@@ -196,7 +136,6 @@ class Relation:
         "_pairs",
         "_matrix",
         "_masks",
-        "_np",
         "_canonical",
     )
 
@@ -213,7 +152,6 @@ class Relation:
         self._pairs: Optional[FrozenSet[Tuple[int, int]]] = None
         self._matrix: Optional[np.ndarray] = None
         self._masks: Optional[List[int]] = None
-        self._np: Optional[np.ndarray] = None
         self._canonical: Optional[Tuple[int, ...]] = None
         if self.backend == "matrix":
             matrix = np.zeros((n_lower, n_upper), dtype=bool)
@@ -227,11 +165,6 @@ class Relation:
             for lower, upper in pairs:
                 masks[lower] |= 1 << upper
             self._masks = masks
-        elif self.backend == "numpy":
-            rows = _np_zero_rows(n_lower, n_upper)
-            for lower, upper in pairs:
-                rows[lower, upper >> 6] |= np.uint64(1 << (upper & 63))
-            self._np = rows
         else:
             self._pairs = frozenset(pairs)
 
@@ -253,8 +186,6 @@ class Relation:
             rel._masks = [1 << i for i in range(n)]
         elif rel.backend == "matrix":
             rel._matrix = np.eye(n, dtype=bool)
-        elif rel.backend == "numpy":
-            rel._np = _np_pack_bool(np.eye(n, dtype=bool))
         else:
             rel._pairs = frozenset((i, i) for i in range(n))
         _IDENTITY_CACHE[(n, backend)] = rel
@@ -268,8 +199,6 @@ class Relation:
             rel._matrix = matrix.astype(bool)
         elif rel.backend == "bitset":
             rel._masks = _masks_from_matrix(matrix.astype(bool))
-        elif rel.backend == "numpy":
-            rel._np = _np_pack_bool(matrix.astype(bool))
         else:
             lowers, uppers = np.nonzero(matrix)
             rel._pairs = frozenset(zip(lowers.tolist(), uppers.tolist()))
@@ -283,8 +212,6 @@ class Relation:
         rel = cls(n_lower, n_upper, (), backend=backend)
         if rel.backend == "bitset":
             rel._masks = list(masks)
-        elif rel.backend == "numpy":
-            rel._np = _np_from_masks(masks, n_upper)
         elif rel.backend == "matrix":
             matrix = np.zeros((n_lower, n_upper), dtype=bool)
             for lower, mask in enumerate(masks):
@@ -315,9 +242,6 @@ class Relation:
     def matrix(self) -> np.ndarray:
         """Return the relation as a Boolean matrix (lower × upper)."""
         if self._matrix is None:
-            if self._np is not None:
-                self._matrix = _np_unpack_bool(self._np, self.n_upper)
-                return self._matrix
             matrix = np.zeros((self.n_lower, self.n_upper), dtype=bool)
             if self._masks is not None:
                 for lower, mask in enumerate(self._masks):
@@ -342,20 +266,9 @@ class Relation:
                 for lower, upper in self._pairs:
                     masks[lower] |= 1 << upper
                 self._masks = masks
-            elif self._np is not None:
-                self._masks = _masks_from_np(self._np)
             else:
                 self._masks = _masks_from_matrix(self._matrix)
         return self._masks
-
-    def _np_ref(self) -> np.ndarray:
-        """The cached packed uint64 row array (internal: NOT to be mutated)."""
-        if self._np is None:
-            if self._matrix is not None and self._masks is None:
-                self._np = _np_pack_bool(self._matrix)
-            else:
-                self._np = _np_from_masks(self._masks_ref(), self.n_upper)
-        return self._np
 
     def masks(self) -> List[int]:
         """Return the relation as per-lower-slot bitmasks of upper slots."""
@@ -380,8 +293,6 @@ class Relation:
             return not any(self._masks)
         if self._pairs is not None:
             return not self._pairs
-        if self._np is not None:
-            return not self._np.any()
         return not self._matrix.any()
 
     def __bool__(self) -> bool:
@@ -392,8 +303,6 @@ class Relation:
             return sum(mask.bit_count() for mask in self._masks)
         if self._pairs is not None:
             return len(self._pairs)
-        if self._np is not None:
-            return int(np.bitwise_count(self._np).sum())
         return int(self._matrix.sum())
 
     def _canonical_masks(self) -> Tuple[int, ...]:
@@ -430,31 +339,7 @@ class Relation:
                 if row:
                     mask |= 1 << lower
             return mask
-        if self._np is not None:
-            mask = 0
-            for lower in np.nonzero(self._np.any(axis=1))[0].tolist():
-                mask |= 1 << lower
-            return mask
         return mask_of(self.lower_slots())
-
-    def upper_slots(self) -> FrozenSet[int]:
-        """Return ``π₂(R)``: the upper slots related to at least one lower slot."""
-        if self._masks is not None:
-            combined = 0
-            for mask in self._masks:
-                combined |= mask
-            return frozenset(iter_bits(combined))
-        if self.backend == "matrix" and self._matrix is not None:
-            return frozenset(np.nonzero(self._matrix.any(axis=0))[0].tolist())
-        return frozenset(upper for _lower, upper in self.pairs())
-
-    def uppers_of(self, lower: int) -> FrozenSet[int]:
-        """Return the upper slots related to the given lower slot."""
-        if self._masks is not None:
-            return frozenset(iter_bits(self._masks[lower]))
-        if self.backend == "matrix" and self._matrix is not None:
-            return frozenset(np.nonzero(self._matrix[lower])[0].tolist())
-        return frozenset(u for l, u in self.pairs() if l == lower)
 
     def uppers_by_lower(self) -> Dict[int, FrozenSet[int]]:
         """Return the relation as a mapping lower slot → set of upper slots."""
@@ -482,7 +367,7 @@ class Relation:
         The result relates ``lower`` to ``upper``; this is the operation
         written ``R(B, B') ∘ R`` in Algorithm 3 and in Lemma 6.3.  The result
         backend is the "fastest" of the operands'
-        (bitset > numpy > matrix > pairs).
+        (bitset > matrix > pairs).
         """
         if self.n_upper != upper_relation.n_lower:
             raise ValueError(
@@ -500,14 +385,6 @@ class Relation:
                     mid_mask ^= low
                 out.append(acc)
             return Relation.from_masks(self.n_lower, upper_relation.n_upper, out, backend="bitset")
-        if self.backend == "numpy" or upper_relation.backend == "numpy":
-            # Bridge once through Boolean matrices: unpack → matmul → repack.
-            # Boolean matmul is OR-of-ANDs, exactly relational composition.
-            sel = _np_unpack_bool(self._np_ref(), self.n_upper)
-            ups = _np_unpack_bool(upper_relation._np_ref(), upper_relation.n_upper)
-            result = Relation(self.n_lower, upper_relation.n_upper, (), backend="numpy")
-            result._np = _np_pack_bool(np.matmul(sel, ups))
-            return result
         if self.backend == "matrix" or upper_relation.backend == "matrix":
             matrix = np.matmul(self.matrix(), upper_relation.matrix())
             return Relation.from_matrix(matrix, backend="matrix")
@@ -520,37 +397,6 @@ class Relation:
             for upper in by_mid.get(mid, ()):
                 joined.add((lower, upper))
         return Relation(self.n_lower, upper_relation.n_upper, joined, backend="pairs")
-
-    def restrict_upper(self, uppers: Iterable[int]) -> "Relation":
-        """Keep only the pairs whose upper slot is in ``uppers``."""
-        if self.backend == "bitset":
-            keep_mask = mask_of(uppers)
-            return Relation.from_masks(
-                self.n_lower,
-                self.n_upper,
-                [mask & keep_mask for mask in self._masks_ref()],
-                backend="bitset",
-            )
-        if self.backend == "numpy":
-            keep_mask = mask_of(uppers)
-            keep_row = np.frombuffer(
-                keep_mask.to_bytes(_np_words(self.n_upper) * 8, "little"), dtype=np.uint64
-            )
-            result = Relation(self.n_lower, self.n_upper, (), backend="numpy")
-            result._np = self._np_ref() & keep_row
-            return result
-        if self.backend == "matrix":
-            keep_cols = np.zeros(self.n_upper, dtype=bool)
-            for upper in uppers:
-                keep_cols[upper] = True
-            return Relation.from_matrix(self.matrix() & keep_cols, backend="matrix")
-        keep = set(uppers)
-        return Relation(
-            self.n_lower,
-            self.n_upper,
-            (p for p in self.pairs() if p[1] in keep),
-            backend=self.backend,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Relation({self.n_lower}x{self.n_upper}, {len(self)} pairs, {self.backend})"

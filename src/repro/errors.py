@@ -139,9 +139,8 @@ class ShardProtocolError(ShardDiedError):
 
 
 class ServingError(EngineError):
-    """A request to the serving layer (:mod:`repro.engine` /
-    :mod:`repro.serving`) is invalid (unknown document id, closed cursor,
-    unsupported edit spec, ...)."""
+    """A request to the serving layer (:mod:`repro.engine`) is invalid
+    (unknown document id, closed cursor, unsupported edit spec, ...)."""
 
 
 class CatalogError(ServingError):

@@ -392,14 +392,3 @@ class IncrementalCircuitMaintainer:
         if on_update is not None:
             on_update(perf_counter() - start)
         return rebuilt
-
-    def rebuild_from_scratch(self) -> None:
-        """Drop all boxes and rebuild everything (used by baselines and tests)."""
-        build_circuit_over_term(
-            self.term.root,
-            self.automaton,
-            with_index=self.use_index,
-            relation_backend=self.relation_backend,
-            build_cache=self.build_cache,
-        )
-        self.version += 1

@@ -4,10 +4,10 @@ A :class:`Spanner` wraps a spanner regex compiled to a WVA.  It can
 
 * *materialize* all matches on a (short) document with the brute-force WVA
   oracle — handy for tests and ad-hoc use;
-* build a :class:`~repro.core.enumerator.WordEnumerator` over a document,
-  giving enumeration with output-linear delay and logarithmic updates of the
-  text (character insertion / deletion / replacement), which is the use case
-  the paper's information-extraction motivation describes.
+* be served by :class:`repro.Engine` (``Engine().add_word(document,
+  spanner)``), giving enumeration with output-linear delay and logarithmic
+  updates of the text (character insertion / deletion / replacement), which
+  is the use case the paper's information-extraction motivation describes.
 
 Answers are assignments binding the capture variables to word positions; the
 helper :meth:`Spanner.spans` converts an assignment into per-variable
@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
 from repro.automata.wva import WVA
-from repro.core.enumerator import WordRuntime, _warn_deprecated
 from repro.spanners.compile import regex_to_wva
 
 __all__ = ["Spanner"]
@@ -44,16 +43,6 @@ class Spanner:
     def matches(self, document: Sequence[str]) -> Set[Assignment]:
         """Materialize all matches on a document (brute-force; small documents only)."""
         return self.wva.satisfying_assignments(list(document))
-
-    def enumerator(self, document: Sequence[str], relation_backend: Optional[str] = None) -> WordRuntime:
-        """An update-aware enumerator over the document (Theorem 8.5).
-
-        Deprecated: pass the spanner (or its pattern) to the engine instead —
-        ``Engine().add_word(document, spanner)`` — which serves the same
-        runtime through the unified API.
-        """
-        _warn_deprecated("Spanner.enumerator", "repro.Engine().add_word(document, spanner)")
-        return WordRuntime(list(document), self.wva, relation_backend=relation_backend)
 
     @staticmethod
     def spans(assignment: Assignment) -> Dict[object, Tuple[int, int]]:

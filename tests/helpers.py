@@ -204,3 +204,18 @@ def random_binary_tree(seed: int, n_internal: int, labels: Sequence[str] = LABEL
 def assignments_sorted(assignments) -> List[Tuple]:
     """Deterministic ordering of a collection of assignments (for comparisons)."""
     return sorted(tuple(sorted(a, key=repr)) for a in assignments)
+
+
+def trunk_hits_cursor(document, cursor, node_id) -> bool:
+    """Could an edit at ``node_id`` hit ``cursor``? (whole-box upper bound)
+
+    Intersects the node's prospective trunk
+    (:meth:`~repro.engine.local.LocalDocument.trunk_boxes`) with the boxes
+    the cursor can still read (:meth:`~repro.engine.cursor.Cursor.referenced_boxes`)
+    by build serial.  An edit whose rebuilt boxes are fingerprint-equal at
+    every slot the cursor still reads lets it resume even where this says
+    ``True``; a ``False`` can only turn into an invalidation through
+    rebalancing.
+    """
+    trunk = {box.serial for box in document.trunk_boxes(node_id)}
+    return any(box.serial in trunk for box in cursor.referenced_boxes())

@@ -1,20 +1,16 @@
 """The unified `repro.engine` API: differential, sharding, catalog, errors.
 
-This module is additionally run with ``-W error::DeprecationWarning`` by
-``make check``, so nothing inside the engine may touch a deprecated shim —
-every intentional use of a legacy entry point below is wrapped in
-``pytest.warns(DeprecationWarning)``.
-
 What is pinned here:
 
 * **Differential equivalence** — for each relation backend, `Engine`
-  answers are byte-identical to the legacy ``TreeEnumerator`` /
-  ``WordEnumerator`` / ``Spanner`` paths, on the initial document and after
-  every edit (tree, word and regex-spanner workloads through the same
-  ``Query`` / ``Document`` / ``ResultPage`` types).
+  answers are byte-identical to the bare ``TreeRuntime`` / ``WordRuntime``
+  building blocks (and a spanner's compiled WVA run on a ``WordRuntime``),
+  on the initial document and after every edit (tree, word and
+  regex-spanner workloads through the same ``Query`` / ``Document`` /
+  ``ResultPage`` types).
 * **Sharded equivalence** — ``Engine(workers=N)`` serves byte-identical
   answers, epochs, pages and cursor invalidations to a single-process
-  engine and to the legacy ``DocumentStore``, under interleaved edits and
+  engine and to a plain ``LocalStore``, under interleaved edits and
   cursor paging; workers share one catalog directory and *load* (never
   recompile) the parent's persisted compiled query.
 * **Catalog manifest** — version + per-digest metadata, ``gc(keep=...)``,
@@ -50,11 +46,14 @@ from repro import (
     StaleIteratorError,
 )
 from repro.automata.queries import select_descendant_pairs, select_labeled
-from repro.engine import Document, Query, QueryCatalog, ResultPage
+from repro.core.enumerator import TreeRuntime, WordRuntime
+from repro.engine import Document, LocalStore, Query, QueryCatalog, ResultPage
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Delete, Insert, Relabel
 from repro.trees.generators import random_tree, tree_of_shape
 from repro.trees.unranked import UnrankedTree
+
+from helpers import trunk_hits_cursor
 
 LABELS = ("a", "b", "c", "d")
 BACKENDS = ("pairs", "matrix", "bitset")
@@ -140,6 +139,16 @@ class TestEngineApi:
             with pytest.raises(StaleIteratorError):
                 list(stream)
 
+    def test_in_process_stream_is_the_runtimes_own_generator(self):
+        """In-process, ``stream()`` hands back the runtime's own iterator: the
+        engine-facade delay gate of benchmarks/run_all.py relies on it, so a
+        wrapper added here must fail this test, not a 5% timing bound."""
+        with Engine() as engine:
+            tree_doc = engine.add_tree(random_tree(40, LABELS, 4), tree_query())
+            word_doc = engine.add_word("abaab", word_query())
+            for doc in (tree_doc, word_doc):
+                assert doc.stream().gi_code is doc.runtime.assignments().gi_code
+
     def test_backend_typo_fails_fast_as_backend_error(self):
         with pytest.raises(BackendError, match="did you mean"):
             Engine(backend="bitsets")
@@ -150,14 +159,13 @@ class TestEngineApi:
 
 # ============================================================== differential
 class TestDifferentialVsLegacy:
-    """Engine answers byte-identical to the legacy paths, per backend."""
+    """Engine answers byte-identical to the bare runtimes, per backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_tree_workload_matches_tree_enumerator(self, backend):
         tree = tree_of_shape("random", 80, LABELS, 11)
         query = select_descendant_pairs(LABELS)
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.TreeEnumerator(tree, query, relation_backend=backend)
+        legacy = TreeRuntime(tree, query, relation_backend=backend)
         with Engine(backend=backend) as engine:
             doc = engine.add_tree(tree, query)
             assert canonical(doc.stream()) == canonical(legacy.assignments())
@@ -176,8 +184,7 @@ class TestDifferentialVsLegacy:
     def test_word_workload_matches_word_enumerator(self, backend):
         word = list("abaabbaab")
         query = word_query()
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.WordEnumerator(word, query, relation_backend=backend)
+        legacy = WordRuntime(word, query, relation_backend=backend)
         with Engine(backend=backend) as engine:
             doc = engine.add_word(word, query)
             assert canonical(doc.stream()) == canonical(legacy.assignments())
@@ -200,8 +207,7 @@ class TestDifferentialVsLegacy:
         alphabet = ("a", "b", "=", ";", " ")
         document = list("ab=ba;a=b ab = ba ")
         spanner = Spanner(pattern, alphabet)
-        with pytest.warns(DeprecationWarning):
-            legacy = spanner.enumerator(document, relation_backend=backend)
+        legacy = WordRuntime(list(document), spanner.wva, relation_backend=backend)
         with Engine(backend=backend) as engine:
             doc = engine.add_word(document, pattern, alphabet=alphabet)
             assert canonical(doc.stream()) == canonical(legacy.assignments())
@@ -266,8 +272,8 @@ def _run_traffic(engine_like, docs, edits_by_doc):
     return transcript
 
 
-class _LegacyStoreAdapter:
-    """Drive a legacy DocumentStore document through the Document interface."""
+class _LocalStoreAdapter:
+    """Drive a plain LocalStore document through the Document interface."""
 
     class _Doc:
         def __init__(self, served):
@@ -330,10 +336,9 @@ class TestSharding:
         with Engine(catalog=tmp_path / "cat2") as single:
             docs = [single.add_tree(t, query, doc_id=i) for i, t in enumerate(trees)]
             single_transcript = _run_traffic(single, docs, edits)
-        with pytest.warns(DeprecationWarning):
-            store = repro.DocumentStore()
+        store = LocalStore()
         legacy_docs = [
-            _LegacyStoreAdapter._Doc(store.add_tree(t, query, doc_id=i))
+            _LocalStoreAdapter._Doc(store.add_tree(t, query, doc_id=i))
             for i, t in enumerate(trees)
         ]
         legacy_transcript = _run_traffic(store, legacy_docs, edits)
@@ -480,23 +485,6 @@ class TestPipelinedIngest:
                 engine.add_documents(["ab"], word_query(), doc_ids=[1, 2])
             with pytest.raises(EngineError, match="differ in length"):
                 engine.add_documents(["ab"], queries=[word_query(), word_query()])
-
-    def test_local_store_batch_facade(self):
-        """LocalStore.add_documents: the same batch entry point a worker has."""
-        from repro.engine.local import LocalStore
-
-        store = LocalStore()
-        docs = store.add_documents(
-            [random_tree(20, LABELS, 1), "abaab"],
-            queries=[tree_query(), word_query()],
-            doc_ids=["t", "w"],
-        )
-        assert [doc.doc_id for doc in docs] == ["t", "w"]
-        assert [doc.kind for doc in docs] == ["tree", "word"]
-        with pytest.raises(ServingError, match="needs a query"):
-            store.add_documents(["ab"])
-        with pytest.raises(ServingError, match="differ in length"):
-            store.add_documents(["ab"], word_query(), doc_ids=[1, 2])
 
     def test_remove_invalidates_live_streams_in_both_modes(self):
         tree = random_tree(80, LABELS, 3)
@@ -697,8 +685,6 @@ class TestResumeRateCounter:
         fetched page-3 cursor, and an a-leaf (relabelling it away removes an
         answer the cursor still has to read, so the changed slots overlap
         its remaining-read masks)."""
-        from repro.engine.local import LocalStore
-
         store = LocalStore()
         doc = store.add_tree(tree.copy(), query)
         cursor = doc.open_cursor(page_size=3)
@@ -708,7 +694,7 @@ class TestResumeRateCounter:
             for node in doc.enumerator.tree.nodes()
             if not node.is_root()
             and node.label == "b"
-            and not store.would_invalidate(doc.doc_id, cursor, node.node_id)
+            and not trunk_hits_cursor(doc, cursor, node.node_id)
         )
         invalidate_target = next(
             node.node_id
@@ -1270,6 +1256,12 @@ class TestCatalogManifestAndGc:
         manifest_path = catalog.manifest_path
         with open(manifest_path, encoding="utf8") as handle:
             manifest = json.load(handle)
+        # same major version: a catalog written by 1.1.0 still loads
+        manifest["library_version"] = "1.1.0"
+        with open(manifest_path, "w", encoding="utf8") as handle:
+            json.dump(manifest, handle)
+        reopened = QueryCatalog(os.fspath(tmp_path))
+        assert reopened.load(reopened.digest_of(tree_query()), use_cache=False).kind == "tree"
         manifest["library_version"] = "99.0.0"
         with open(manifest_path, "w", encoding="utf8") as handle:
             json.dump(manifest, handle)
@@ -1328,25 +1320,6 @@ class TestUnifiedErrors:
                 engine.compile("x{a+}")  # missing alphabet → EngineError
             with pytest.raises(ReproError):
                 engine.document("missing")  # ServingError
-        with pytest.raises(ReproError):
-            Engine(backend="nope")  # BackendError
-
-
-# =============================================================== deprecation
-class TestDeprecatedShims:
-    def test_legacy_entry_points_warn_and_point_at_the_engine(self):
-        tree = random_tree(15, LABELS, 1)
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.TreeEnumerator(tree, tree_query())
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.WordEnumerator(["a", "b"], word_query())
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.DocumentStore()
-
-    def test_shims_are_the_same_machinery(self):
-        from repro.core.enumerator import TreeRuntime, WordRuntime
-        from repro.engine.local import LocalStore
-
-        assert issubclass(repro.TreeEnumerator, TreeRuntime)
-        assert issubclass(repro.WordEnumerator, WordRuntime)
-        assert issubclass(repro.DocumentStore, LocalStore)
+        for removed_or_unknown in ("nope", "numpy"):
+            with pytest.raises(BackendError):
+                Engine(backend=removed_or_unknown)

@@ -79,7 +79,7 @@ from repro.enumeration.relations import iter_bits
 from repro.trees.edits import random_edit_sequence
 from repro.trees.generators import random_tree
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "matrix", "bitset")
 LABELS = ("a", "b", "c")
 
 N_SCENARIOS = int(os.environ.get("REPRO_FUZZ_SCENARIOS", "24"))

@@ -40,6 +40,7 @@ from repro.errors import (
     CursorInvalidatedError,
     EngineError,
     InvalidAutomatonError,
+    InvalidTreeError,
     ProtocolError,
     ReproError,
     ServingError,
@@ -600,6 +601,42 @@ class TestFrontHalfParity:
 
 
 class TestRemoteEngineSurface:
+    def test_failed_batch_epoch_and_monitoring_over_tcp(self):
+        """A batch that fails on its second edit keeps the first: every front
+        end raises the typed error, then reports epoch 1 (RemoteEngine
+        resyncs its epoch mirror from the server).  The remote monitoring
+        calls return the server engine's payloads."""
+        leaf = next(n.node_id for n in _tree().nodes() if n.is_leaf())
+        query = queries.select_labeled("a")
+
+        def fail_batch(front_end):
+            doc = front_end.add_tree(_tree(), query)
+            with pytest.raises(InvalidTreeError):
+                doc.apply_edits([Relabel(leaf, "b"), Delete(10**9)])
+            assert doc.epoch == 1
+
+        for workers in (0, 1):
+            with Engine(workers=workers) as engine:
+                fail_batch(engine)
+        with Engine() as engine:
+            server = EngineServer(engine, idle_timeout=None).start()
+            try:
+                with RemoteEngine(server.address) as remote:
+                    fail_batch(remote)
+                    stats = remote.stats()
+                    assert set(stats) == set(engine.stats()) | {"net"}
+                    assert stats["documents"] == 1
+                    assert stats["net"] == remote.net_stats()
+                    metrics = remote.metrics()
+                    assert set(engine.metrics()) <= set(metrics)
+                    assert metrics["update_batch_seconds"] == engine.metrics()["update_batch_seconds"]
+                    assert "net_round_trip_seconds" in metrics  # the client's overlay
+                    events = remote.events()
+                    assert [e["kind"] for e in events] == [e["kind"] for e in engine.events()]
+                    assert "net_connect" in [e["kind"] for e in events]
+            finally:
+                server.stop()
+
     def test_typed_errors_travel_over_tcp(self, served_engine):
         _engine, server = served_engine
         with RemoteEngine(server.address) as remote:

@@ -2,7 +2,7 @@
 
 The three backends of :class:`repro.enumeration.relations.Relation` must be
 observationally identical: same ``pairs()`` under every operation (creation,
-composition chains, restriction, projections), same equality/hash behaviour
+composition chains, projections), same equality/hash behaviour
 across backends, and — end to end — identical answer sets when driving the
 full enumeration pipeline.  These tests randomize over relations and over
 (automaton, tree) instances and compare every pair of backends.
@@ -31,7 +31,7 @@ from repro.enumeration.relations import (
     set_default_backend,
 )
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "matrix", "bitset")
 BACKEND_PAIRS = list(itertools.combinations(BACKENDS, 2))
 
 
@@ -57,13 +57,10 @@ class TestRelationBackendEquivalence:
         rel_b = Relation(n_lower, n_upper, pairs, backend=second)
         assert rel_a.pairs() == rel_b.pairs()
         assert rel_a.lower_slots() == rel_b.lower_slots()
-        assert rel_a.upper_slots() == rel_b.upper_slots()
         assert rel_a.lower_mask() == rel_b.lower_mask()
         assert rel_a.uppers_by_lower() == rel_b.uppers_by_lower()
         assert rel_a.is_empty() == rel_b.is_empty()
         assert len(rel_a) == len(rel_b)
-        for lower in range(n_lower):
-            assert rel_a.uppers_of(lower) == rel_b.uppers_of(lower)
         # cross-backend equality and hashing (satellite: cached canonical form)
         assert rel_a == rel_b
         assert hash(rel_a) == hash(rel_b)
@@ -103,15 +100,6 @@ class TestRelationBackendEquivalence:
         assert mixed.pairs() == reference.pairs()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_restrict_upper_native(self, backend):
-        rel = Relation(3, 5, [(0, 0), (0, 4), (1, 2), (2, 3)], backend=backend)
-        restricted = rel.restrict_upper([0, 2, 3])
-        assert restricted.backend in BACKENDS
-        assert restricted.pairs() == {(0, 0), (1, 2), (2, 3)}
-        assert restricted.n_lower == 3 and restricted.n_upper == 5
-        assert rel.restrict_upper([]).is_empty()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_and_from_masks_roundtrip(self, backend):
         ident = Relation.identity(4, backend=backend)
         assert ident.pairs() == {(i, i) for i in range(4)}
@@ -123,6 +111,103 @@ class TestRelationBackendEquivalence:
         assert Relation(2, 3, [(0, 0)]) != Relation(3, 2, [(0, 0)])
         assert Relation(2, 3, [(0, 0)]) != Relation(2, 4, [(0, 0)])
         assert Relation(2, 3, []) != object()
+
+    @pytest.mark.parametrize("first", BACKENDS)
+    @pytest.mark.parametrize("second", BACKENDS)
+    def test_compose_result_backend_is_fastest_operand(self, first, second):
+        a = Relation(3, 4, [(0, 1), (0, 2), (2, 3)], backend=first)
+        b = Relation(4, 2, [(1, 0), (2, 1), (3, 1)], backend=second)
+        composed = a.compose(b)
+        expected_backend = max((first, second), key=BACKENDS.index)
+        assert composed.backend == expected_backend
+        assert (composed.n_lower, composed.n_upper) == (3, 2)
+        assert composed.pairs() == {(0, 0), (0, 1), (2, 1)}
+
+
+# --------------------------------------------------------------------------- set-model oracle
+def _set_compose(first_pairs, second_pairs):
+    return frozenset(
+        (lower, upper)
+        for lower, mid in first_pairs
+        for mid_b, upper in second_pairs
+        if mid == mid_b
+    )
+
+
+def _random_chain(rng: random.Random, backend: str, length: int):
+    dims = [rng.randint(1, 8) for _ in range(length + 1)]
+    return [
+        Relation(dims[i], dims[i + 1], random_pairs(rng, dims[i], dims[i + 1], 0.35), backend)
+        for i in range(length)
+    ]
+
+
+class TestRelationAgainstSetModel:
+    """Each backend against a plain set of (lower, upper) pairs.
+
+    The equivalence tests above only compare backends with one another; these
+    pin every backend, ``pairs`` included, to the textbook semantics.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_observables_match_set_model(self, backend, seed):
+        rng = random.Random(2000 + seed)
+        n_lower = rng.randint(1, 9)
+        n_upper = rng.randint(1, 9)
+        model = frozenset(random_pairs(rng, n_lower, n_upper, 0.35))
+        rel = Relation(n_lower, n_upper, model, backend=backend)
+        lowers = frozenset(lower for lower, _upper in model)
+        assert rel.pairs() == model
+        assert rel.masks() == [
+            sum(1 << upper for lower_b, upper in model if lower_b == lower)
+            for lower in range(n_lower)
+        ]
+        assert rel.matrix().tolist() == [
+            [(lower, upper) in model for upper in range(n_upper)] for lower in range(n_lower)
+        ]
+        assert rel.lower_slots() == lowers
+        assert rel.lower_mask() == sum(1 << lower for lower in lowers)
+        assert rel.uppers_by_lower() == {
+            lower: frozenset(upper for lower_b, upper in model if lower_b == lower)
+            for lower in lowers
+        }
+        assert len(rel) == len(model)
+        assert rel.is_empty() is (not model)
+        assert bool(rel) is bool(model)
+        from_masks = Relation.from_masks(n_lower, n_upper, rel.masks(), backend=backend)
+        from_matrix = Relation.from_matrix(rel.matrix(), backend=backend)
+        for rebuilt in (from_masks, from_matrix):
+            assert rebuilt.backend == backend
+            assert rebuilt.pairs() == model
+            assert rebuilt == rel and hash(rebuilt) == hash(rel)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_compose_matches_relational_composition(self, backend, seed):
+        rng = random.Random(3000 + seed)
+        chain = _random_chain(rng, backend, 4)
+        composed = chain[0]
+        model = chain[0].pairs()
+        for nxt in chain[1:]:
+            composed = composed.compose(nxt)
+            model = _set_compose(model, nxt.pairs())
+            assert composed.backend == backend
+            assert (composed.n_lower, composed.n_upper) == (chain[0].n_lower, nxt.n_upper)
+            assert composed.pairs() == model
+            assert len(composed) == len(model)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_compose_is_associative_with_identity_and_empty(self, backend, seed):
+        rng = random.Random(4000 + seed)
+        a, b, c = _random_chain(rng, backend, 3)
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        assert Relation.identity(a.n_lower, backend=backend).compose(a) == a
+        assert a.compose(Relation.identity(a.n_upper, backend=backend)) == a
+        empty = Relation(a.n_lower, a.n_upper, (), backend=backend)
+        assert empty.compose(b).is_empty()
+        assert b.compose(Relation(b.n_upper, c.n_upper, (), backend=backend)).is_empty()
 
 
 # --------------------------------------------------------------------------- end-to-end equivalence

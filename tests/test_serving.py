@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.serving` — catalog persistence, stores, cursors.
+"""Tests for the serving layer of :mod:`repro.engine` — catalog persistence,
+stores, cursors.
 
 The acceptance-critical properties pinned here:
 
@@ -26,13 +27,15 @@ from repro.automata.queries import select_descendant_pairs, select_labeled
 from repro.automata.serialize import query_digest
 from repro.core.enumerator import TreeRuntime, WordRuntime, _COMPILED_QUERIES
 from repro.errors import CatalogError, CursorInvalidatedError, ServingError
+from repro.engine.catalog import QueryCatalog
+from repro.engine.codec import compiled_query_from_json
 from repro.engine.local import LocalStore
-from repro.serving import DocumentStore, QueryCatalog
-from repro.serving.codec import compiled_query_from_json
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Relabel
 from repro.trees.generators import tree_of_shape
 from repro.trees.unranked import UnrankedTree
+
+from helpers import trunk_hits_cursor
 
 LABELS = ("a", "b", "c", "d")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -150,7 +153,7 @@ class TestQueryCatalog:
         child_source = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
-from repro.serving import QueryCatalog
+from repro.engine.catalog import QueryCatalog
 from repro.forest_algebra.maintenance import MaintainedTerm
 from repro.incremental.maintainer import IncrementalCircuitMaintainer
 from repro.trees.generators import tree_of_shape
@@ -184,6 +187,60 @@ print(json.dumps({
         assert payload["answers"] == expected
         assert payload["plans_installed"] > 0
         assert payload["load_seconds"] is not None and payload["load_seconds"] > 0
+
+    def test_answer_order_is_independent_of_hash_seed(self):
+        """Equal automata stream their answers in one order, in any process.
+
+        The circuit's slot numbering fixes the stream order.  A shard worker
+        decodes the automaton its parent compiled, possibly under another
+        hash seed, and must stream the same answers in the same order as the
+        parent; so the order may depend on neither the hash seed nor on
+        whether the automaton was compiled here or decoded from the catalog.
+        """
+        child_source = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+from helpers import random_unranked_tva
+from repro.core.enumerator import (
+    _COMPILED_QUERIES, TreeRuntime, compiled_automaton_for, seed_compiled_query,
+)
+from repro.engine.codec import compiled_query_from_json, compiled_query_to_json
+from repro.trees.generators import random_tree
+
+streams = []
+for seed in range(6):
+    query = random_unranked_tva(seed, n_states=3, variables=("x", "y"))
+    tree = random_tree(9, ("a", "b", "c"), seed=seed)
+    _COMPILED_QUERIES.clear()
+    compiled = compiled_automaton_for(query)
+    text = compiled_query_to_json(query, compiled, "tree")
+    decoded = compiled_query_from_json(text).automaton
+    assert decoded.state_order == compiled.state_order
+    assert (decoded.initial, decoded.delta) == (compiled.initial, compiled.delta)
+    orders = []
+    for automaton in (compiled, decoded):
+        seed_compiled_query(query, automaton)
+        runtime = TreeRuntime(tree.copy(), query)
+        assert runtime.binary_automaton is automaton
+        orders.append([sorted([str(v), n] for v, n in a) for a in runtime.assignments()])
+    assert orders[0] == orders[1], seed
+    streams.append(orders[0])
+print(json.dumps(streams))
+"""
+        outputs = []
+        for hash_seed in ("1", "12"):
+            result = subprocess.run(
+                [sys.executable, "-c", child_source, SRC_DIR, os.path.dirname(__file__)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+            outputs.append(json.loads(result.stdout))
+        assert outputs[0] == outputs[1]
+        assert any(len(stream) > 1 for stream in outputs[0])
 
 
 # =========================================================================== store
@@ -347,7 +404,7 @@ class TestCursors:
         for node in doc.enumerator.tree.nodes():
             if node.is_root() or node.label != "b":
                 continue
-            if not self.store.would_invalidate(doc.doc_id, cursor, node.node_id):
+            if not trunk_hits_cursor(doc, cursor, node.node_id):
                 target = node
                 break
         assert target is not None, "no unrelated edit target found"
@@ -437,7 +494,7 @@ class TestCursors:
         for node in doc.enumerator.tree.nodes():
             if node.is_root() or node.label != "a" or not node.is_leaf():
                 continue
-            if self.store.would_invalidate(doc.doc_id, cursor, node.node_id):
+            if trunk_hits_cursor(doc, cursor, node.node_id):
                 target = node
                 break
         assert target is not None, "no trunk-hitting edit target found"
@@ -468,19 +525,3 @@ class TestCursors:
         got = cursor.fetch_all()
         assert sorted(map(sorted, got)) == expected
         assert len(got) == len(set(got))
-
-
-# =========================================================================== shims
-class TestDeprecatedStoreShim:
-    def test_document_store_shim_is_deprecated(self):
-        """The one sanctioned use of the legacy store name: it must warn and
-        behave exactly like LocalStore."""
-        with pytest.deprecated_call():
-            store = DocumentStore()
-        assert isinstance(store, LocalStore)
-        doc = store.add_tree(
-            tree_of_shape("random", 30, LABELS, 1), select_labeled("a", LABELS)
-        )
-        assert doc.count() == sum(
-            1 for n in doc.enumerator.tree.nodes() if n.label == "a"
-        )
